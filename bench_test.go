@@ -175,30 +175,11 @@ func BenchmarkAblationPerNodeVsShared(b *testing.B) {
 	b.Run("shared-factorization", func(b *testing.B) { run(b, false) })
 }
 
-// BenchmarkAblationDenseVsSparse locates the dense/sparse crossover on RC
-// ladders of growing size (A2).
-func BenchmarkAblationDenseVsSparse(b *testing.B) {
+// BenchmarkACLadderScaling measures the bare AC sweep on RC ladders of
+// growing size (A2).
+func BenchmarkACLadderScaling(b *testing.B) {
 	for _, n := range []int{20, 60, 150, 400} {
-		for _, mode := range []struct {
-			name string
-			m    analysis.MatrixMode
-		}{{"dense", analysis.MatrixDense}, {"sparse", analysis.MatrixSparse}} {
-			b.Run(mode.name+"/"+itoa(n), func(b *testing.B) {
-				s := benchSim(b, circuits.RCLadder(n))
-				s.Opt.Matrix = mode.m
-				op, err := s.OP(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				freqs := num.LogGridPPD(1e3, 1e9, 10)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.AC(context.Background(), freqs, op); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+		b.Run(itoa(n), func(b *testing.B) { benchACLadder(b, n) })
 	}
 }
 
@@ -362,10 +343,8 @@ func TestEmitSparseBenchSummary(t *testing.T) {
 		name string
 		fn   func(*testing.B)
 	}{
-		{"AllNodesScaling32Auto", func(b *testing.B) { benchAllNodesScaling(b, 32, analysis.MatrixAuto, 0) }},
-		{"AllNodesScaling32Sparse", func(b *testing.B) { benchAllNodesScaling(b, 32, analysis.MatrixSparse, 0) }},
-		{"ACLadder150Sparse", func(b *testing.B) { benchACLadder(b, 150, analysis.MatrixSparse) }},
-		{"ACLadder150Dense", func(b *testing.B) { benchACLadder(b, 150, analysis.MatrixDense) }},
+		{"AllNodesScaling32Auto", func(b *testing.B) { benchAllNodesScaling(b, 32, 0) }},
+		{"ACLadder150Sparse", func(b *testing.B) { benchACLadder(b, 150) }},
 	}
 	var rows []benchSummaryRow
 	for _, op := range ops {
@@ -407,7 +386,7 @@ func TestEmitSparseBenchSummary(t *testing.T) {
 // TestEmitDiagBenchSummary writes a BENCH_diag.json summary of the
 // reach-restricted diagonal-extraction kernel when ACSTAB_BENCH_JSON names
 // an output file: the all-nodes wall time on the 32-loop resonator field
-// (auto and forced-sparse) plus the kernel counter deltas and the derived
+// (default options) plus the kernel counter deltas and the derived
 // rows-visited ratio — rows the batched diag solves actually touched over
 // the rows the same sweeps would have touched with full per-node
 // substitutions. The ratio is also asserted (< 0.7) so a reach-set
@@ -432,8 +411,7 @@ func TestEmitDiagBenchSummary(t *testing.T) {
 		name string
 		fn   func(*testing.B)
 	}{
-		{"AllNodesScaling32Auto", func(b *testing.B) { benchAllNodesScaling(b, 32, analysis.MatrixAuto, 0) }},
-		{"AllNodesScaling32Sparse", func(b *testing.B) { benchAllNodesScaling(b, 32, analysis.MatrixSparse, 0) }},
+		{"AllNodesScaling32Auto", func(b *testing.B) { benchAllNodesScaling(b, 32, 0) }},
 	}
 	var rows []benchSummaryRow
 	for _, op := range ops {
@@ -492,12 +470,11 @@ func TestEmitDiagBenchSummary(t *testing.T) {
 	t.Logf("wrote %d benchmark rows to %s (rows-visited ratio %.3f)", len(rows), path, ratio)
 }
 
-// benchACLadder measures a bare AC sweep on an RC ladder in the given
-// matrix mode (the inner loop the refactor path accelerates, without the
-// stability-analysis overhead of the all-nodes flow).
-func benchACLadder(b *testing.B, n int, mode analysis.MatrixMode) {
+// benchACLadder measures a bare AC sweep on an RC ladder (the inner loop
+// the refactor path accelerates, without the stability-analysis overhead
+// of the all-nodes flow).
+func benchACLadder(b *testing.B, n int) {
 	s := benchSim(b, circuits.RCLadder(n))
-	s.Opt.Matrix = mode
 	op, err := s.OP(context.Background())
 	if err != nil {
 		b.Fatal(err)
@@ -574,24 +551,22 @@ func BenchmarkReturnRatio(b *testing.B) {
 }
 
 // BenchmarkAllNodesScaling sweeps the all-nodes cost across circuit sizes
-// (resonator fields of 8..64 nodes). The auto and sparse arms run the
+// (resonator fields of 8..64 nodes). The adaptive arm runs the
 // two-level adaptive sweep (coarse 8 points/decade, refined to the
 // default 20 near peaks) — the tool's fast configuration — while the
-// sparse-uniform arm keeps the dense uniform grid so the adaptive engine's
-// win stays directly visible per size.
+// uniform arm keeps the dense uniform grid so the adaptive engine's win
+// stays directly visible per size.
 func BenchmarkAllNodesScaling(b *testing.B) {
 	for _, mode := range []struct {
 		name   string
-		m      analysis.MatrixMode
 		coarse int
 	}{
-		{"auto", analysis.MatrixAuto, benchCoarsePPD},
-		{"sparse", analysis.MatrixSparse, benchCoarsePPD},
-		{"sparse-uniform", analysis.MatrixSparse, 0},
+		{"adaptive", benchCoarsePPD},
+		{"uniform", 0},
 	} {
 		for _, k := range []int{4, 8, 16, 32} {
 			b.Run(mode.name+"/loops-"+itoa(k), func(b *testing.B) {
-				benchAllNodesScaling(b, k, mode.m, mode.coarse)
+				benchAllNodesScaling(b, k, mode.coarse)
 			})
 		}
 	}
@@ -604,14 +579,11 @@ const benchCoarsePPD = 8
 // benchAllNodesScaling measures the all-nodes sweep on a resonator field.
 // coarsePPD > 0 enables the adaptive two-level grid; 0 keeps the dense
 // uniform sweep.
-func benchAllNodesScaling(b *testing.B, loops int, mode analysis.MatrixMode, coarsePPD int) {
+func benchAllNodesScaling(b *testing.B, loops int, coarsePPD int) {
 	ckt := circuits.ResonatorField(loops, 1e5, 0.35)
 	opts := tool.DefaultOptions()
 	opts.Workers = 1
 	opts.CoarsePointsPerDecade = coarsePPD
-	aopts := analysis.DefaultOptions()
-	aopts.Matrix = mode
-	opts.Analysis = &aopts
 	tl, err := tool.New(ckt, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -777,12 +749,11 @@ C1 t 0 1n
 // benchAllNodesNumerics mirrors benchAllNodesScaling with the
 // numerical-health observatory explicitly on (defaults) or off (all three
 // knobs negative), so the two arms differ only in residual telemetry.
-func benchAllNodesNumerics(b *testing.B, loops int, mode analysis.MatrixMode, numerics bool) {
+func benchAllNodesNumerics(b *testing.B, loops int, numerics bool) {
 	ckt := circuits.ResonatorField(loops, 1e5, 0.35)
 	opts := tool.DefaultOptions()
 	opts.Workers = 1
 	aopts := analysis.DefaultOptions()
-	aopts.Matrix = mode
 	if !numerics {
 		aopts.ResidualThreshold = -1
 		aopts.ResidualProbeEvery = -1
@@ -815,7 +786,7 @@ func cpuTime() time.Duration {
 
 // TestEmitNumericsBenchSummary writes a BENCH_numerics.json summary of the
 // residual observatory's overhead when ACSTAB_BENCH_JSON names an output
-// file: the 32-loop resonator-field all-nodes sweep (forced sparse) with
+// file: the 32-loop resonator-field all-nodes sweep with
 // per-point residual telemetry on versus off. The acceptance budget — the
 // observatory must add less than 5% to the sweep — is asserted in-test on
 // CPU time, as the median of per-chunk on/off ratios over interleaved
@@ -844,7 +815,6 @@ func TestEmitNumericsBenchSummary(t *testing.T) {
 		opts := tool.DefaultOptions()
 		opts.Workers = 1
 		aopts := analysis.DefaultOptions()
-		aopts.Matrix = analysis.MatrixSparse
 		if !numerics {
 			aopts.ResidualThreshold = -1
 			aopts.ResidualProbeEvery = -1
@@ -890,7 +860,7 @@ func TestEmitNumericsBenchSummary(t *testing.T) {
 	measure := func(numerics bool) testing.BenchmarkResult {
 		return testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
-			benchAllNodesNumerics(b, 32, analysis.MatrixSparse, numerics)
+			benchAllNodesNumerics(b, 32, numerics)
 		})
 	}
 	off := measure(false)
@@ -986,7 +956,6 @@ func benchAllNodesAdaptiveNoBatch(b *testing.B, loops int) {
 	opts.Workers = 1
 	opts.CoarsePointsPerDecade = benchCoarsePPD
 	aopts := analysis.DefaultOptions()
-	aopts.Matrix = analysis.MatrixSparse
 	aopts.FreqBatch = 1
 	opts.Analysis = &aopts
 	tl, err := tool.New(ckt, opts)
@@ -1003,8 +972,8 @@ func benchAllNodesAdaptiveNoBatch(b *testing.B, loops int) {
 
 // TestEmitGridBenchSummary writes a BENCH_grid.json summary of the
 // adaptive-grid + frequency-batched sweep engine when ACSTAB_BENCH_JSON
-// names an output file. Three rows on the 32-loop resonator field (forced
-// sparse, one worker):
+// names an output file. Three rows on the 32-loop resonator field (one
+// worker):
 //
 //   - AllNodesScaling32SparseUniform: the dense uniform grid (batched
 //     refactorization still on — it is the analysis default).
@@ -1031,9 +1000,6 @@ func TestEmitGridBenchSummary(t *testing.T) {
 		opts.Workers = 1
 		opts.CoarsePointsPerDecade = coarse
 		opts.Trace = run
-		aopts := analysis.DefaultOptions()
-		aopts.Matrix = analysis.MatrixSparse
-		opts.Analysis = &aopts
 		tl, err := tool.New(ckt, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -1092,8 +1058,8 @@ func TestEmitGridBenchSummary(t *testing.T) {
 		name string
 		fn   func(*testing.B)
 	}{
-		{"AllNodesScaling32SparseUniform", func(b *testing.B) { benchAllNodesScaling(b, 32, analysis.MatrixSparse, 0) }},
-		{"AllNodesScaling32SparseAdaptive", func(b *testing.B) { benchAllNodesScaling(b, 32, analysis.MatrixSparse, benchCoarsePPD) }},
+		{"AllNodesScaling32SparseUniform", func(b *testing.B) { benchAllNodesScaling(b, 32, 0) }},
+		{"AllNodesScaling32SparseAdaptive", func(b *testing.B) { benchAllNodesScaling(b, 32, benchCoarsePPD) }},
 		{"AllNodesScaling32SparseAdaptiveNoBatch", func(b *testing.B) { benchAllNodesAdaptiveNoBatch(b, 32) }},
 	}
 	var rows []benchSummaryRow

@@ -14,7 +14,8 @@
 //	        fleet-wide SLO verdict
 //	top     merged fleet metrics: counters summed across workers and
 //	        phase-latency histograms bucket-merged (exact fleet
-//	        quantiles), largest first
+//	        quantiles), largest first, plus fleet run, cache and
+//	        residual summary lines
 //	tail    follow the fleet's wide events (each worker's /debug/events
 //	        ring, polled with per-worker cursors), one JSON line per
 //	        event prefixed with the emitting worker
@@ -176,6 +177,9 @@ func runTop(ctx context.Context, w io.Writer, fl *fleet.Fleet, n int) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
+	fmt.Fprintf(w, "fleet runs: %d runs, %d errors\n",
+		view.Merged.Counters["acstab_farm_runs_total"],
+		view.Merged.Counters["acstab_farm_run_errors_total"])
 	if hits, misses := view.Merged.Counters["acstab_cache_hits_total"],
 		view.Merged.Counters["acstab_cache_misses_total"]; hits+misses > 0 {
 		fmt.Fprintf(w, "fleet cache: %d hits / %d lookups (%.1f%% hit rate), %.0f entries resident\n",

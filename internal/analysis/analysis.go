@@ -43,8 +43,7 @@ var (
 	// Diagonal-extraction kernel telemetry: batched reach-restricted
 	// Z_kk solves taken, rows those solves actually visited (compare
 	// against 2·n·nodes·solves for the reach-restriction win), and
-	// frequencies that had to fall back to full per-node substitutions
-	// (dense mode is not a fallback — it never enters the kernel path).
+	// frequencies that had to fall back to full per-node substitutions.
 	mACDiagSolves    = obs.GetCounter("acstab_ac_diag_solves_total")
 	mACDiagRows      = obs.GetCounter("acstab_ac_diag_rows_visited_total")
 	mACDiagFallbacks = obs.GetCounter("acstab_ac_diag_fallbacks_total")
@@ -106,13 +105,6 @@ type Options struct {
 	// MaxStepV damps Newton: no node voltage moves more than this per
 	// iteration.
 	MaxStepV float64
-	// Matrix selects the linear solver for AC sweeps: auto (0), dense (1),
-	// sparse (2). DC always uses the dense solver (systems are re-assembled
-	// each Newton iteration and stay small in this repo's workloads).
-	Matrix MatrixMode
-	// SparseThreshold is the system size above which auto mode picks the
-	// sparse solver.
-	SparseThreshold int
 	// ResidualThreshold is the scale-relative backward-error level
 	// ‖A·x−b‖∞/(‖A‖∞‖x‖∞+‖b‖∞) above which a frequency point triggers the
 	// refinement escalation ladder. 0 selects the built-in default (1e-9);
@@ -138,26 +130,15 @@ type Options struct {
 	FreqBatch int
 }
 
-// MatrixMode selects the AC linear solver.
-type MatrixMode int
-
-// Matrix modes.
-const (
-	MatrixAuto MatrixMode = iota
-	MatrixDense
-	MatrixSparse
-)
-
 // DefaultOptions returns the solver defaults documented in DESIGN.md.
 func DefaultOptions() Options {
 	return Options{
-		AbsTol:          1e-12,
-		VnTol:           1e-9,
-		RelTol:          1e-6,
-		Gmin:            1e-12,
-		MaxIter:         200,
-		MaxStepV:        1.0,
-		SparseThreshold: 64,
+		AbsTol:   1e-12,
+		VnTol:    1e-9,
+		RelTol:   1e-6,
+		Gmin:     1e-12,
+		MaxIter:  200,
+		MaxStepV: 1.0,
 	}
 }
 
@@ -357,7 +338,7 @@ func (s *Sim) ensureSymbolic(omega float64, op *mna.OpPoint) (*sparse.Pattern, *
 		// Two back-to-back stamps disagreeing structurally means the
 		// stamping is not deterministic; the two-phase path cannot be used.
 		mACPatternDrift.Inc()
-		return nil, nil, fmt.Errorf("analysis: non-deterministic AC stamp pattern")
+		return nil, nil, errNondeterministicStamp
 	}
 	sym, err := pat.Analyze(vals.Values())
 	if err != nil {
@@ -371,6 +352,29 @@ func (s *Sim) ensureSymbolic(omega float64, op *mna.OpPoint) (*sparse.Pattern, *
 	return pat, sym, nil
 }
 
+// errNondeterministicStamp reports two back-to-back stamping passes of
+// one frequency point that disagree structurally.
+var errNondeterministicStamp = fmt.Errorf("analysis: non-deterministic AC stamp pattern")
+
+// PrepareAC builds the shared symbolic analysis from the AC matrix
+// stamped at omega unless one is already cached. The pivot order is
+// chosen on the values of the frequency it is analyzed at, so a caller
+// that splits one frequency grid across forked workers calls PrepareAC
+// with the grid's first frequency before forking: otherwise whichever
+// worker starts first analyzes at its own chunk's first frequency, and the
+// last bits of every result would depend on goroutine scheduling.
+func (s *Sim) PrepareAC(omega float64, op *mna.OpPoint) {
+	sh := s.acShared()
+	sh.mu.Lock()
+	built := sh.sym != nil
+	sh.mu.Unlock()
+	if !built {
+		// A failed build is not fatal here: each sweep retries it and
+		// degrades to per-point pivot searches, reporting its own errors.
+		_, _, _ = s.ensureSymbolic(omega, op)
+	}
+}
+
 // ErrNoConvergence is returned when every DC homotopy fails. It is the
 // same sentinel the public package exposes as acstab.ErrNoConvergence.
 var ErrNoConvergence = acerr.ErrNoConvergence
@@ -381,13 +385,16 @@ type assembleFn func(a mna.RealAdder, b []float64, x []float64)
 // newton runs damped Newton iteration with the given assembler, starting
 // from x0. It returns the converged solution. A canceled ctx aborts
 // between iterations — one assemble+factor+solve at most after the
-// cancellation lands.
+// cancellation lands. The matrix, factorization and both iterate buffers
+// are allocated once per call and reused by every iteration.
 func (s *Sim) newton(ctx context.Context, assemble assembleFn, x0 []float64) ([]float64, error) {
 	n := s.Sys.NumUnknowns()
 	nn := s.Sys.NumNodes()
 	x := append([]float64(nil), x0...)
+	xn := make([]float64, n)
 	a := linalg.NewMatrix(n)
 	b := make([]float64, n)
+	var lu *linalg.LU
 	iters := 0
 	defer func() {
 		mNewtonIterations.Add(int64(iters))
@@ -403,12 +410,11 @@ func (s *Sim) newton(ctx context.Context, assemble assembleFn, x0 []float64) ([]
 			b[i] = 0
 		}
 		assemble(a, b, x)
-		f, err := linalg.Factor(a)
-		if err != nil {
+		var err error
+		if lu, err = linalg.FactorInto(lu, a); err != nil {
 			return nil, fmt.Errorf("analysis: singular matrix during Newton: %w", err)
 		}
-		xn, err := f.Solve(b)
-		if err != nil {
+		if err := lu.SolveInto(xn, b); err != nil {
 			return nil, err
 		}
 		// Damping: bound the largest node-voltage step.
@@ -436,7 +442,7 @@ func (s *Sim) newton(ctx context.Context, assemble assembleFn, x0 []float64) ([]
 				break
 			}
 		}
-		x = xn
+		x, xn = xn, x
 		if converged {
 			return x, nil
 		}
@@ -534,18 +540,6 @@ func (s *Sim) SourceCurrent(op *mna.OpPoint, elem string) (float64, error) {
 	return op.X[br], nil
 }
 
-// complexSolverFor builds the AC matrix+solver pair sized for the system.
-func (s *Sim) useSparse() bool {
-	switch s.Opt.Matrix {
-	case MatrixDense:
-		return false
-	case MatrixSparse:
-		return true
-	default:
-		return s.Sys.NumUnknowns() > s.Opt.SparseThreshold
-	}
-}
-
 // ACResult holds an AC sweep: per-frequency solution vectors.
 type ACResult struct {
 	sys   *mna.System
@@ -591,37 +585,35 @@ func (r *ACResult) BranchWave(elem string) (*wave.Wave, error) {
 	return w, nil
 }
 
-// cSolver is a ready factorization of one frequency point's AC matrix.
-// All implementations (sparse.Numeric, sparse.LU, linalg.CLU) solve into
-// caller-owned storage without allocating.
-type cSolver interface {
-	SolveInto(x, b []complex128) error
-}
-
-// acFactorizer produces a ready-to-solve factorization of the AC system
-// at each frequency of a sweep. In sparse mode it reuses the Sim-shared
-// symbolic analysis and owns the per-worker numeric workspaces, so the
+// acFactorizer produces a ready-to-solve sparse factorization of the AC
+// system at each frequency of a sweep. It reuses the Sim-shared symbolic
+// analysis and owns the per-worker numeric workspaces, so the
 // steady-state factorize+solve cycle is pivot-free, map-free, and
-// allocation-free; the structural-checksum and collapsed-pivot guards
-// fall back to a full map-based factorization for the offending
-// frequency. In dense mode the factorization storage is reused across
-// frequencies. Counter deltas accumulate locally and are published by
-// flush (deferred by the callers), keeping atomics off the inner loop.
+// allocation-free. The guards re-pivot instead: a collapsed pivot under
+// the frozen order re-runs the pivot search on the values already
+// stamped into the CSR (Pattern.Repivot), and pattern drift records a
+// fresh pattern for the point. Counter deltas accumulate locally and are
+// published by flush (deferred by the callers), keeping atomics off the
+// inner loop.
 type acFactorizer struct {
-	s      *Sim
-	op     *mna.OpPoint
-	sparse bool
+	s  *Sim
+	op *mna.OpPoint
 
-	// Sparse two-phase path. curVals aliases the stamped CSR values the
-	// current refactor-path factorization was built from (fz.vals for the
-	// serial path, one batch lane for extracted probes) — the residual and
-	// condition estimators must read the matrix that was actually factored.
-	pat     *sparse.Pattern
-	sym     *sparse.Symbolic
-	num     *sparse.Numeric
-	vals    *sparse.Vals
+	// Frozen two-phase state: the Sim-shared pattern and symbolic
+	// analysis (sym is nil once drift invalidated it, or when the build
+	// failed) and this sweep's numeric workspace over them.
+	pat  *sparse.Pattern
+	sym  *sparse.Symbolic
+	num  *sparse.Numeric
+	vals *sparse.Vals
+
+	// curPat/curVals are the pattern and stamped CSR values the current
+	// point's factorization was built from (fz.vals for the serial path,
+	// one batch lane for extracted probes, a per-point pattern on the
+	// fresh path) — the residual, the condition estimator and a re-pivot
+	// must read the matrix that was actually factored.
+	curPat  *sparse.Pattern
 	curVals []complex128
-	smat    *sparse.Matrix // full-factorization fallback matrix, lazy
 
 	// Frequency-batched refill state (ImpedanceDiagSweep only), built by
 	// ensureBatch: the K-lane numeric workspace, one stamped Vals per lane
@@ -636,19 +628,16 @@ type acFactorizer struct {
 	// it and this factorizer allocated privately.
 	ws *acWorkspace
 
-	// Dense path.
-	dm  *linalg.CMatrix
-	clu *linalg.CLU
-
 	// Numerical-health observatory state (per sweep). resThreshold <= 0
-	// disables the whole residual path (no extra SpMV, no scratch); rmat
-	// is the pre-Factor clone of the fallback matrix (Factor consumes its
-	// argument, so the residual needs its own copy of the stamped values).
+	// disables the whole residual path (no extra SpMV, no scratch). The
+	// per-point residual and pivot-growth histograms are staged locally
+	// and published by flush.
 	resThreshold float64
+	resHist      *obs.LocalHistogram
+	growthHist   *obs.LocalHistogram
 	probeEvery   int
 	condSamples  int
 	condBudget   int
-	rmat         *sparse.Matrix
 	r, d         []complex128 // residual + refinement-correction scratch, lazy
 	cv, cz       []complex128 // condition-estimate scratch, lazy
 
@@ -682,17 +671,16 @@ type acFactorizer struct {
 	batchLanes  int64
 
 	// kind names the solver path the most recent at() call took, the
-	// slow-point context tag: "dense", "refactor" (pivot-free numeric
-	// refill), "full" (map-based factorization), "refactor_fallback" (the
-	// refill hit a collapsed pivot and this point fell back to a full
-	// factorization), or "pattern_drift" (the frozen pattern was
-	// invalidated mid-sweep).
+	// slow-point context tag: "refactor" (pivot-free numeric refill),
+	// "full" (no frozen analysis: the point's pattern is recorded and
+	// pivoted afresh), "refactor_fallback" (the refill hit a collapsed
+	// pivot and this point was re-pivoted), or "pattern_drift" (the
+	// frozen pattern was invalidated mid-sweep).
 	kind string
 }
 
 // Solver-path tags reported in slow-point captures.
 const (
-	solveKindDense            = "dense"
 	solveKindRefactor         = "refactor"
 	solveKindFull             = "full"
 	solveKindRefactorFallback = "refactor_fallback"
@@ -702,15 +690,15 @@ const (
 	// substitutions.
 	solveKindDiag = "diag"
 	// solveKindResidualEscalation tags points where a residual breach
-	// escalated past in-place refinement to a fresh full factorization.
+	// escalated past in-place refinement to a fresh pivot search.
 	solveKindResidualEscalation = "residual_escalation"
 )
 
 // newACFactorizer prepares the per-sweep solver state. A failed symbolic
-// build is not fatal: the sweep degrades to one full factorization per
-// frequency (the pre-split behavior) and each point reports its own error.
+// build is not fatal: the sweep degrades to one fresh pattern and pivot
+// search per frequency and each point reports its own error.
 func (s *Sim) newACFactorizer(omega0 float64, op *mna.OpPoint) *acFactorizer {
-	fz := &acFactorizer{s: s, op: op, sparse: s.useSparse()}
+	fz := &acFactorizer{s: s, op: op}
 	switch {
 	case s.Opt.ResidualThreshold > 0:
 		fz.resThreshold = s.Opt.ResidualThreshold
@@ -732,198 +720,167 @@ func (s *Sim) newACFactorizer(omega0 float64, op *mna.OpPoint) *acFactorizer {
 		}
 		fz.condBudget = fz.condSamples
 		fz.health = make([]obs.SlowPoint, 0, obs.MaxHealthPoints)
+		fz.resHist = mACResidual.Local()
+		fz.growthHist = mACPivotGrowth.Local()
 	}
-	if fz.sparse {
-		if pat, sym, err := s.ensureSymbolic(omega0, op); err == nil {
-			fz.pat, fz.sym = pat, sym
-			if ws := s.acquireWorkspace(pat, sym); ws != nil {
-				fz.ws = ws
-				fz.num, fz.vals = ws.num, ws.vals
-			} else {
-				fz.num = sym.NewNumeric()
-				fz.vals = pat.NewVals()
-			}
+	if pat, sym, err := s.ensureSymbolic(omega0, op); err == nil {
+		fz.pat, fz.sym = pat, sym
+		if ws := s.acquireWorkspace(pat, sym); ws != nil {
+			fz.ws = ws
+			fz.num, fz.vals = ws.num, ws.vals
+		} else {
+			fz.num = sym.NewNumeric()
+			fz.vals = pat.NewVals()
 		}
-	} else {
-		fz.dm = linalg.NewCMatrix(s.Sys.NumUnknowns())
 	}
 	return fz
 }
 
-// at stamps and factors the AC system at omega, returning a solver valid
-// until the next call. When b is non-nil it is stamped with the RHS
+// at stamps and factors the AC system at omega, returning a factorization
+// valid until the next call. When b is non-nil it is stamped with the RHS
 // excitation; the caller must pass it zeroed.
-func (fz *acFactorizer) at(omega float64, b []complex128) (cSolver, error) {
+func (fz *acFactorizer) at(omega float64, b []complex128) (*sparse.Numeric, error) {
 	s := fz.s
-	if !fz.sparse {
-		fz.dm.Zero()
-		s.Sys.StampAC(fz.dm, b, omega, fz.op)
-		clu, err := linalg.CFactorInto(fz.clu, fz.dm)
-		fz.clu = clu
-		if err != nil {
-			return nil, err
-		}
-		fz.fulls++
-		fz.kind = solveKindDense
-		return clu, nil
+	if fz.sym == nil {
+		fz.kind = solveKindFull
+		return fz.fresh(omega, b)
 	}
-	fz.kind = solveKindFull
-	if fz.sym != nil {
-		fz.vals.Begin()
-		s.Sys.StampAC(fz.vals, b, omega, fz.op)
-		if fz.vals.Drift() {
-			// The stamp structure changed under the cached pattern: drop
-			// the cache for future sweeps and run out this one on full
-			// factorizations.
-			mACPatternDrift.Inc()
-			s.Trace.Add("ac_pattern_drift", 1)
-			s.acShared().invalidate()
-			fz.sym = nil
-			fz.kind = solveKindPatternDrift
-		} else if err := fz.num.Refactor(fz.vals.Values()); err == nil {
-			fz.refactors++
-			fz.kind = solveKindRefactor
-			fz.curVals = fz.vals.Values()
-			if fz.resThreshold > 0 {
-				g := fz.num.PivotGrowth()
-				mACPivotGrowth.Observe(g)
-				if g > fz.growthMax {
-					fz.growthMax = g
-				}
-			}
-			return fz.num, nil
-		} else {
-			// Collapsed pivot under the frozen order; retry this single
-			// frequency with a fresh pivot search.
-			mACRefactorFallbacks.Inc()
-			s.Trace.Add("ac_refactor_fallbacks", 1)
-			fz.kind = solveKindRefactorFallback
-		}
+	fz.vals.Begin()
+	s.Sys.StampAC(fz.vals, b, omega, fz.op)
+	if fz.vals.Drift() {
+		// The stamp structure changed under the cached pattern: drop the
+		// cache for future sweeps and run out this one on per-point
+		// patterns. b is stamped directly, so it is already valid.
+		mACPatternDrift.Inc()
+		s.Trace.Add("ac_pattern_drift", 1)
+		s.acShared().invalidate()
+		fz.sym = nil
+		fz.kind = solveKindPatternDrift
+		return fz.fresh(omega, nil)
 	}
-	return fz.fullAt(omega, b)
+	fz.curPat, fz.curVals = fz.pat, fz.vals.Values()
+	if err := fz.num.Refactor(fz.curVals); err != nil {
+		// Collapsed pivot under the frozen order; re-pivot this single
+		// frequency's values.
+		mACRefactorFallbacks.Inc()
+		s.Trace.Add("ac_refactor_fallbacks", 1)
+		fz.kind = solveKindRefactorFallback
+		return fz.repivot()
+	}
+	fz.refactors++
+	fz.kind = solveKindRefactor
+	if fz.resThreshold > 0 {
+		fz.observeGrowth(fz.num.PivotGrowth())
+	}
+	return fz.num, nil
 }
 
-// fullAt stamps the AC system into the map-based fallback matrix and runs
-// a full factorization with a fresh pivot search — the path taken when the
-// two-phase guards bounce a point and when the residual ladder escalates
-// past refinement. When b is non-nil it is re-zeroed and stamped with the
-// RHS excitation (the refactor attempt may already have stamped it). With
-// the observatory on, the stamped matrix is cloned before sparse.Factor
-// consumes it so the point's residual remains computable.
-func (fz *acFactorizer) fullAt(omega float64, b []complex128) (cSolver, error) {
-	s := fz.s
-	if fz.smat == nil {
-		fz.smat = sparse.New(s.Sys.NumUnknowns())
-	} else {
-		fz.smat.Zero()
+// observeGrowth records one refactor-path point's pivot-growth factor.
+func (fz *acFactorizer) observeGrowth(g float64) {
+	fz.growthHist.Observe(g)
+	if g > fz.growthMax {
+		fz.growthMax = g
 	}
-	if b != nil {
-		for i := range b {
-			b[i] = 0
-		}
-	}
-	s.Sys.StampAC(fz.smat, b, omega, fz.op)
-	if fz.resThreshold > 0 {
-		fz.rmat = fz.smat.Clone()
-	}
-	lu, err := sparse.Factor(fz.smat)
+}
+
+// repivot factors the current point's stamped values (curPat, curVals)
+// with a fresh pivot search — the path taken when the frozen order
+// collapses at this frequency and when the residual ladder escalates
+// past refinement.
+func (fz *acFactorizer) repivot() (*sparse.Numeric, error) {
+	nm, err := fz.curPat.Repivot(fz.curVals)
 	if err != nil {
 		return nil, err
 	}
 	fz.fulls++
-	return lu, nil
+	return nm, nil
+}
+
+// fresh records the stamp pattern of this one frequency point, stamps its
+// values (and b, when non-nil) and re-pivots them: the path for points
+// with no frozen symbolic analysis, after pattern drift or a failed build.
+func (fz *acFactorizer) fresh(omega float64, b []complex128) (*sparse.Numeric, error) {
+	s := fz.s
+	rec := sparse.NewRecorder(s.Sys.NumUnknowns())
+	s.Sys.StampAC(rec, nil, omega, fz.op)
+	pat := rec.Compile()
+	vals := pat.NewVals()
+	vals.Begin()
+	s.Sys.StampAC(vals, b, omega, fz.op)
+	if vals.Drift() {
+		return nil, errNondeterministicStamp
+	}
+	fz.curPat, fz.curVals = pat, vals.Values()
+	return fz.repivot()
 }
 
 // pointResidual computes the scale-relative backward error of the solve
-// (x, b) the current solver path just produced, leaving the residual
-// vector in fz.r for a possible refinement step. ok reports whether a
-// matrix snapshot was available for the path (the full-factor fallback
-// only keeps one when the observatory is on).
-func (fz *acFactorizer) pointResidual(x, b []complex128) (eta float64, ok bool) {
+// (x, b) against the matrix the current solver factored, leaving the
+// residual vector in fz.r for a possible refinement step.
+func (fz *acFactorizer) pointResidual(x, b []complex128) (float64, error) {
 	if fz.r == nil {
 		n := fz.s.Sys.NumUnknowns()
 		fz.r = make([]complex128, n)
 		fz.d = make([]complex128, n)
 	}
-	var err error
-	switch {
-	case fz.kind == solveKindDense:
-		eta, err = fz.dm.ResidualInf(x, b, fz.r)
-	case fz.kind == solveKindRefactor:
-		eta, err = fz.pat.ResidualInf(fz.curVals, x, b, fz.r)
-	case fz.rmat != nil:
-		eta, err = fz.rmat.ResidualInf(x, b, fz.r)
-	default:
-		return 0, false
+	return fz.curPat.ResidualInf(fz.curVals, x, b, fz.r)
+}
+
+// refine applies one step of iterative refinement to x on slv, using the
+// residual pointResidual left in fz.r, and returns the new backward error.
+func (fz *acFactorizer) refine(slv *sparse.Numeric, x, b []complex128, eta float64) float64 {
+	if err := slv.RefineInto(x, fz.r, fz.d); err != nil {
+		return eta
 	}
-	return eta, err == nil
+	fz.refines++
+	if e, err := fz.pointResidual(x, b); err == nil {
+		return e
+	}
+	return eta
 }
 
 // verify runs the residual check and refinement-escalation ladder on one
 // representative solve of the current frequency point: slv·x = b with b
 // still holding the right-hand side it was solved against. On a breach it
 // (1) refines x once reusing the existing factorization, (2) escalates to
-// a fresh full factorization plus one more refinement (refactor path
-// only; restampRHS selects whether b is re-stamped as the circuit's AC
-// excitation or preserved as a caller-managed injection vector), and
-// (3) reports an error wrapping acerr.ErrAccuracy if even that leaves the
-// residual above threshold. The returned solver is the one that produced
-// the final x; callers reuse it for the remaining right-hand sides of the
-// same frequency. The point's final residual is recorded either way.
-func (fz *acFactorizer) verify(slv cSolver, omega, freqHz float64, x, b []complex128, restampRHS bool) (cSolver, error) {
+// a fresh pivot search on the same stamped values plus one more
+// refinement (refactor path only), and (3) reports an error wrapping
+// acerr.ErrAccuracy if even that leaves the residual above threshold. The
+// returned solver is the one that produced the final x; callers reuse it
+// for the remaining right-hand sides of the same frequency. The point's
+// final residual is recorded either way.
+func (fz *acFactorizer) verify(slv *sparse.Numeric, freqHz float64, x, b []complex128) (*sparse.Numeric, error) {
 	if fz.resThreshold <= 0 {
 		return slv, nil
 	}
-	eta, ok := fz.pointResidual(x, b)
-	if !ok {
+	eta, err := fz.pointResidual(x, b)
+	if err != nil {
 		return slv, nil
 	}
 	if eta > fz.resThreshold {
 		fz.breaches++
-		// Step 1: one refinement with the existing factorization (fz.r
-		// already holds the residual from pointResidual).
-		if err := slv.SolveInto(fz.d, fz.r); err == nil {
-			for i := range x {
-				x[i] += fz.d[i]
-			}
-			fz.refines++
-			if e, ok := fz.pointResidual(x, b); ok {
-				eta = e
-			}
-		}
-		// Step 2: a fresh full factorization with its own pivot search,
-		// then refine once more on it. Only the refactor path escalates —
-		// the other sparse paths already came from a full factorization
-		// and the dense factorization is as good as dense gets.
+		// Step 1: one refinement with the existing factorization.
+		eta = fz.refine(slv, x, b, eta)
+		// Step 2: a fresh pivot search, then refine once more on it. Only
+		// the refactor path escalates — the other paths already chose
+		// their pivots on this point's values.
 		if eta > fz.resThreshold && fz.kind == solveKindRefactor {
-			var rb []complex128
-			if restampRHS {
-				rb = b
-			}
-			if lu, err := fz.fullAt(omega, rb); err == nil {
+			if nm, err := fz.repivot(); err == nil {
 				fz.kind = solveKindResidualEscalation
-				slv = lu
+				slv = nm
 				if err := slv.SolveInto(x, b); err == nil {
-					if e, ok := fz.pointResidual(x, b); ok {
+					if e, err := fz.pointResidual(x, b); err == nil {
 						eta = e
 					}
 					if eta > fz.resThreshold {
-						if err := slv.SolveInto(fz.d, fz.r); err == nil {
-							for i := range x {
-								x[i] += fz.d[i]
-							}
-							fz.refines++
-							if e, ok := fz.pointResidual(x, b); ok {
-								eta = e
-							}
-						}
+						eta = fz.refine(slv, x, b, eta)
 					}
 				}
 			}
 		}
 		if eta > fz.resThreshold {
 			fz.observeResidual(eta, freqHz)
-			return slv, fmt.Errorf("analysis: residual %.2e above threshold %.2e at %g Hz after refinement and refactorization: %w",
+			return slv, fmt.Errorf("analysis: residual %.2e above threshold %.2e at %g Hz after refinement and re-pivoting: %w",
 				eta, fz.resThreshold, freqHz, acerr.ErrAccuracy)
 		}
 	}
@@ -935,7 +892,7 @@ func (fz *acFactorizer) verify(slv cSolver, omega, freqHz float64, x, b []comple
 // per-decade digest, sweep max, and the worst-residual health capture.
 func (fz *acFactorizer) observeResidual(eta, freqHz float64) {
 	fz.resPoints++
-	mACResidual.Observe(eta)
+	fz.resHist.Observe(eta)
 	if eta > fz.resMax {
 		fz.resMax = eta
 	}
@@ -1102,6 +1059,10 @@ func (fz *acFactorizer) flush() {
 		fz.s.Trace.Add("ac_batch_blocks", fz.batchBlocks)
 		fz.s.Trace.Add("ac_batch_lanes", fz.batchLanes)
 	}
+	if fz.resHist != nil {
+		fz.resHist.Flush()
+		fz.growthHist.Flush()
+	}
 	if fz.resPoints != 0 || fz.refines != 0 || fz.breaches != 0 {
 		mACRefinements.Add(fz.refines)
 		mACResidualBreaches.Add(fz.breaches)
@@ -1136,30 +1097,54 @@ func (fz *acFactorizer) flush() {
 // circuit's own AC sources as excitation. A canceled ctx aborts between
 // frequency points — within one linear solve of the cancellation.
 func (s *Sim) AC(ctx context.Context, freqs []float64, op *mna.OpPoint) (*ACResult, error) {
+	sol, err := s.acSweep(ctx, freqs, op, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &ACResult{sys: s.Sys, Freqs: append([]float64(nil), freqs...), Sol: sol}, nil
+}
+
+// ACResponse runs a small-signal sweep driven by the fixed excitation
+// vector rhs (one entry per unknown) in place of the circuit's own AC
+// sources, returning the MNA solution vector at every frequency. It is
+// how an injection that no netlist element describes — the unit current
+// of a return-ratio measurement — rides the same solver path as AC.
+func (s *Sim) ACResponse(ctx context.Context, freqs []float64, op *mna.OpPoint, rhs []complex128) ([][]complex128, error) {
+	if n := s.Sys.NumUnknowns(); len(rhs) != n {
+		return nil, fmt.Errorf("analysis: excitation length %d, want %d", len(rhs), n)
+	}
+	return s.acSweep(ctx, freqs, op, rhs)
+}
+
+// acSweep is the shared loop of AC and ACResponse: a nil rhs stamps the
+// circuit's AC sources as the excitation at every frequency.
+func (s *Sim) acSweep(ctx context.Context, freqs []float64, op *mna.OpPoint, rhs []complex128) ([][]complex128, error) {
 	n := s.Sys.NumUnknowns()
-	res := &ACResult{sys: s.Sys, Freqs: append([]float64(nil), freqs...)}
-	res.Sol = make([][]complex128, len(freqs))
+	sol := make([][]complex128, len(freqs))
 	if len(freqs) == 0 {
-		return res, nil
+		return sol, nil
 	}
 	fz := s.newACFactorizer(2*math.Pi*freqs[0], op)
 	defer fz.flush()
 	slow := newSlowTracker(s.Trace)
 	defer slow.flush(s.Trace)
-	b := make([]complex128, n)
+	b, stampB := rhs, []complex128(nil)
+	if rhs == nil {
+		b = make([]complex128, n)
+		stampB = b
+	}
 	for k, f := range freqs {
 		if err := acerr.Ctx(ctx); err != nil {
 			return nil, err
 		}
-		omega := 2 * math.Pi * f
-		for i := range b {
-			b[i] = 0
+		for i := range stampB {
+			stampB[i] = 0
 		}
 		var t0 time.Time
 		if slow != nil {
 			t0 = time.Now()
 		}
-		slv, err := fz.at(omega, b)
+		slv, err := fz.at(2*math.Pi*f, stampB)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: AC at %g Hz: %w", f, err)
 		}
@@ -1168,16 +1153,16 @@ func (s *Sim) AC(ctx context.Context, freqs []float64, op *mna.OpPoint) (*ACResu
 			return nil, fmt.Errorf("analysis: AC at %g Hz: %w", f, err)
 		}
 		fz.solves++
-		if _, err := fz.verify(slv, omega, f, x, b, true); err != nil {
+		if _, err := fz.verify(slv, f, x, b); err != nil {
 			return nil, err
 		}
 		fz.condSampleAt(k, len(freqs))
 		if slow != nil {
 			slow.note(f, time.Since(t0), fz.kind)
 		}
-		res.Sol[k] = x
+		sol[k] = x
 	}
-	return res, nil
+	return sol, nil
 }
 
 // ImpedanceMatrixColumns computes driving-point impedances: for every
@@ -1185,12 +1170,12 @@ func (s *Sim) AC(ctx context.Context, freqs []float64, op *mna.OpPoint) (*ACResu
 // requested node (unit current injection), returning Z[nodeIdxInList][freq].
 // This is the shared-factorization fast path of the all-nodes stability
 // sweep; the naive alternative (one full AC analysis per node) is kept in
-// the tool package for the ablation benchmark. In sparse mode the
-// factorization itself is the two-phase kind: the pivot order and fill
-// pattern come from the Sim-shared symbolic analysis and each frequency
-// only refills preallocated numeric arrays, so the steady-state loop body
-// performs no allocations at all. A canceled ctx aborts between frequency
-// points — within one factorization of the cancellation.
+// the tool package for the ablation benchmark. The factorization itself is
+// the two-phase kind: the pivot order and fill pattern come from the
+// Sim-shared symbolic analysis and each frequency only refills
+// preallocated numeric arrays, so the steady-state loop body performs no
+// allocations at all. A canceled ctx aborts between frequency points —
+// within one factorization of the cancellation.
 func (s *Sim) ImpedanceMatrixColumns(ctx context.Context, freqs []float64, op *mna.OpPoint, nodeIdx []int) ([][]complex128, error) {
 	n := s.Sys.NumUnknowns()
 	out := make([][]complex128, len(nodeIdx))
@@ -1210,37 +1195,17 @@ func (s *Sim) ImpedanceMatrixColumns(ctx context.Context, freqs []float64, op *m
 		if err := acerr.Ctx(ctx); err != nil {
 			return nil, err
 		}
-		omega := 2 * math.Pi * f
 		var t0 time.Time
 		if slow != nil {
 			t0 = time.Now()
 		}
-		slv, err := fz.at(omega, nil)
+		slv, err := fz.at(2*math.Pi*f, nil)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
 		}
-		for i, idx := range nodeIdx {
-			b[idx] = 1 // 1 A injection into the node
-			err := slv.SolveInto(x, b)
-			if err != nil {
-				b[idx] = 0
-				return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
-			}
-			if i == 0 {
-				// Verify the frequency's first column while its injection is
-				// still stamped into b; an escalated factorization replaces
-				// slv for the remaining columns.
-				slv2, verr := fz.verify(slv, omega, f, x, b, false)
-				if verr != nil {
-					b[idx] = 0
-					return nil, verr
-				}
-				slv = slv2
-			}
-			b[idx] = 0 // b stays all-zero between solves
-			out[i][k] = x[idx]
+		if err := fz.solveColumns(slv, f, k, nodeIdx, out, b, x); err != nil {
+			return nil, err
 		}
-		fz.solves += int64(len(nodeIdx))
 		fz.condSampleAt(k, len(freqs))
 		if slow != nil {
 			slow.note(f, time.Since(t0), fz.kind)
@@ -1249,29 +1214,72 @@ func (s *Sim) ImpedanceMatrixColumns(ctx context.Context, freqs []float64, op *m
 	return out, nil
 }
 
-// ImpedanceDiagSweep computes only the driving-point diagonal
-// Z_kk(ω) = (A⁻¹)_{kk} for the requested nodes, returning
-// Z[nodeIdxInList][freq] with the same shape ImpedanceMatrixColumns
-// produces. On the sparse refactor path it uses the reach-restricted
-// batched diagonal kernel: the per-node forward solve only walks the
-// injection step's reach set in the L elimination DAG and the backward
-// solve terminates as soon as component k is determined, so each
-// frequency costs O(Σ|reach(k)|) rows instead of N full substitutions.
-// The reach sets are computed once per sweep (cached on the Sim-shared
-// symbolic state, so forked workers build them once) and the steady-state
-// loop body is allocation-free. Frequencies are processed in K-lane
-// blocks (Options.FreqBatch): one pass over the frozen symbolic index
-// arrays refills K factorizations at once, cutting the refill's dominant
-// memory traffic — the index-array streaming — by the batch width while
-// keeping each lane's arithmetic bitwise identical to a serial refill.
-// Frequencies that leave the refactor path
-// — a collapsed pivot falling back to a full factorization, or pattern
-// drift invalidating the symbolic analysis mid-sweep — fall back to full
-// per-node SolveInto for that point and count against
-// acstab_ac_diag_fallbacks_total. Dense mode has no elimination DAG to
-// exploit and delegates wholesale to ImpedanceMatrixColumns. Callers that
-// need off-diagonal entries (loop-gain extraction) must keep using
-// ImpedanceMatrixColumns.
+// solveColumns fills out[i][k] = x[idx] for every injection node i with a
+// full substitution on slv, verifying the first column while its
+// injection is still in b (an escalated factorization replaces slv for
+// the remaining columns). b must be all-zero on entry and is again on
+// return.
+func (fz *acFactorizer) solveColumns(slv *sparse.Numeric, f float64, k int, nodeIdx []int, out [][]complex128, b, x []complex128) error {
+	for i, idx := range nodeIdx {
+		b[idx] = 1 // 1 A injection into the node
+		err := slv.SolveInto(x, b)
+		if err == nil && i == 0 {
+			slv, err = fz.verify(slv, f, x, b)
+			if err != nil {
+				b[idx] = 0
+				return err
+			}
+		}
+		b[idx] = 0
+		if err != nil {
+			return fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
+		}
+		out[i][k] = x[idx]
+	}
+	fz.solves += int64(len(nodeIdx))
+	return nil
+}
+
+// probeDiag is the sampled residual probe of the diagonal kernel, which
+// produces only the Z_kk values and so has no full solution to verify:
+// every probeEvery-th frequency runs one full solve for the first node on
+// the refactor-path factorization num and verifies it. The kernel and the
+// full solve perform bitwise-identical arithmetic on the shared
+// factorization (both skip zero multipliers), so overwriting the kernel's
+// value with the probe's is exact, not a perturbation. When the ladder
+// escalates to a fresh pivot search, the kernel's values for this
+// frequency came from the degraded factorization, so the whole point is
+// redone with full substitutions on the new one.
+func (fz *acFactorizer) probeDiag(num *sparse.Numeric, f float64, k int, nodeIdx []int, out [][]complex128, b, x []complex128) error {
+	idx0 := nodeIdx[0]
+	b[idx0] = 1
+	err := num.SolveInto(x, b)
+	if err != nil {
+		b[idx0] = 0
+		return fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
+	}
+	slv, err := fz.verify(num, f, x, b)
+	b[idx0] = 0
+	if err != nil {
+		return err
+	}
+	out[0][k] = x[idx0]
+	if slv == num {
+		return nil
+	}
+	fz.diagFallbacks++
+	for i, idx := range nodeIdx {
+		b[idx] = 1
+		err := slv.SolveInto(x, b)
+		b[idx] = 0
+		if err != nil {
+			return fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
+		}
+		out[i][k] = x[idx]
+	}
+	return nil
+}
+
 // freqBatchK resolves the Options.FreqBatch knob to the effective diag
 // sweep refill block width.
 func (s *Sim) freqBatchK() int {
@@ -1346,7 +1354,7 @@ func (fz *acFactorizer) diagBatchSweep(ctx context.Context, freqs []float64, op 
 		// Stamp the block's lanes. Drift on any lane means the stamp
 		// structure no longer matches the frozen pattern: invalidate and
 		// hand the rest of the sweep (from this block's first frequency)
-		// to the serial full-factorization loop.
+		// to the serial loop, which records per-point patterns.
 		for j := 0; j < m; j++ {
 			v := fz.bvals[j]
 			v.Begin()
@@ -1371,39 +1379,22 @@ func (fz *acFactorizer) diagBatchSweep(ctx context.Context, freqs []float64, op 
 		for j := 0; j < m; j++ {
 			k := base + j
 			f := freqs[k]
-			omega := 2 * math.Pi * f
+			fz.curPat, fz.curVals = fz.pat, fz.lane[j]
 			if !nb.LaneOK(j) {
-				// Collapsed pivot under the frozen order: retry this one
-				// frequency with a fresh pivot search, exactly like the
-				// serial refactor fallback.
+				// Collapsed pivot under the frozen order: re-pivot this one
+				// frequency's lane values, exactly like the serial refactor
+				// fallback, and run the full per-node substitutions.
 				mACRefactorFallbacks.Inc()
 				s.Trace.Add("ac_refactor_fallbacks", 1)
 				fz.kind = solveKindRefactorFallback
-				lu, err := fz.fullAt(omega, nil)
+				slv, err := fz.repivot()
 				if err != nil {
 					return k, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
 				}
 				fz.diagFallbacks++
-				slv := cSolver(lu)
-				for i, idx := range nodeIdx {
-					b[idx] = 1
-					serr := slv.SolveInto(x, b)
-					if serr != nil {
-						b[idx] = 0
-						return k, fmt.Errorf("analysis: impedance at %g Hz: %w", f, serr)
-					}
-					if i == 0 {
-						slv2, verr := fz.verify(slv, omega, f, x, b, false)
-						if verr != nil {
-							b[idx] = 0
-							return k, verr
-						}
-						slv = slv2
-					}
-					b[idx] = 0
-					out[i][k] = x[idx]
+				if err := fz.solveColumns(slv, f, k, nodeIdx, out, b, x); err != nil {
+					return k, err
 				}
-				fz.solves += int64(len(nodeIdx))
 				kinds[j] = fz.kind
 				continue
 			}
@@ -1415,11 +1406,7 @@ func (fz *acFactorizer) diagBatchSweep(ctx context.Context, freqs []float64, op 
 			fz.diagRows += plan.RowsPerSolve()
 			kinds[j] = solveKindDiag
 			if fz.resThreshold > 0 {
-				g := nb.LaneGrowth(j)
-				mACPivotGrowth.Observe(g)
-				if g > fz.growthMax {
-					fz.growthMax = g
-				}
+				fz.observeGrowth(nb.LaneGrowth(j))
 			}
 			// Sampled residual probe and condition estimates both need this
 			// lane's factors in serial layout; one extraction serves both.
@@ -1430,41 +1417,12 @@ func (fz *acFactorizer) diagBatchSweep(ctx context.Context, freqs []float64, op 
 					return k, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
 				}
 				fz.kind = solveKindRefactor
-				fz.curVals = fz.lane[j]
 				if probe {
-					// Same probe as the serial diag loop: one full solve for
-					// the first node, verified; the kernel and the full solve
-					// perform bitwise-identical arithmetic on this lane's
-					// factorization, so overwriting the kernel's value with
-					// the probe's is exact.
-					idx0 := nodeIdx[0]
-					b[idx0] = 1
-					perr := fz.num.SolveInto(x, b)
-					if perr != nil {
-						b[idx0] = 0
-						return k, fmt.Errorf("analysis: impedance at %g Hz: %w", f, perr)
+					if err := fz.probeDiag(fz.num, f, k, nodeIdx, out, b, x); err != nil {
+						return k, err
 					}
-					slv2, verr := fz.verify(fz.num, omega, f, x, b, false)
-					b[idx0] = 0
-					if verr != nil {
-						return k, verr
-					}
-					out[0][k] = x[idx0]
-					if slv2 != cSolver(fz.num) {
-						// The ladder escalated to a fresh full factorization:
-						// redo the whole point on the new solver with full
-						// substitutions.
+					if fz.kind != solveKindRefactor {
 						kinds[j] = fz.kind
-						fz.diagFallbacks++
-						for i, idx := range nodeIdx {
-							b[idx] = 1
-							serr := slv2.SolveInto(x, b)
-							b[idx] = 0
-							if serr != nil {
-								return k, fmt.Errorf("analysis: impedance at %g Hz: %w", f, serr)
-							}
-							out[i][k] = x[idx]
-						}
 					}
 				}
 				if cond && fz.kind == solveKindRefactor {
@@ -1483,10 +1441,28 @@ func (fz *acFactorizer) diagBatchSweep(ctx context.Context, freqs []float64, op 
 	return len(freqs), nil
 }
 
+// ImpedanceDiagSweep computes only the driving-point diagonal
+// Z_kk(ω) = (A⁻¹)_{kk} for the requested nodes, returning
+// Z[nodeIdxInList][freq] with the same shape ImpedanceMatrixColumns
+// produces. On the refactor path it uses the reach-restricted batched
+// diagonal kernel: the per-node forward solve only walks the injection
+// step's reach set in the L elimination DAG and the backward solve
+// terminates as soon as component k is determined, so each frequency
+// costs O(Σ|reach(k)|) rows instead of N full substitutions. The reach
+// sets are computed once per sweep (cached on the Sim-shared symbolic
+// state, so forked workers build them once) and the steady-state loop
+// body is allocation-free. Frequencies are processed in K-lane blocks
+// (Options.FreqBatch): one pass over the frozen symbolic index arrays
+// refills K factorizations at once, cutting the refill's dominant memory
+// traffic — the index-array streaming — by the batch width while keeping
+// each lane's arithmetic bitwise identical to a serial refill.
+// Frequencies that leave the refactor path — a collapsed pivot re-pivoted
+// at that point, or pattern drift invalidating the symbolic analysis
+// mid-sweep — fall back to full per-node SolveInto for that point and
+// count against acstab_ac_diag_fallbacks_total. Callers that need
+// off-diagonal entries (loop-gain extraction) must keep using
+// ImpedanceMatrixColumns.
 func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.OpPoint, nodeIdx []int) ([][]complex128, error) {
-	if !s.useSparse() {
-		return s.ImpedanceMatrixColumns(ctx, freqs, op, nodeIdx)
-	}
 	n := s.Sys.NumUnknowns()
 	out := make([][]complex128, len(nodeIdx))
 	for i := range out {
@@ -1527,20 +1503,19 @@ func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.O
 		if err := acerr.Ctx(ctx); err != nil {
 			return nil, err
 		}
-		omega := 2 * math.Pi * f
 		var t0 time.Time
 		if slow != nil {
 			t0 = time.Now()
 		}
-		slv, err := fz.at(omega, nil)
+		slv, err := fz.at(2*math.Pi*f, nil)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
 		}
 		kind := fz.kind
-		if num, ok := slv.(*sparse.Numeric); ok && plan != nil {
+		if kind == solveKindRefactor && plan != nil {
 			// Refactor succeeded under the frozen pivot order, so the plan's
 			// reach sets describe exactly this factorization.
-			if err := num.SolveDiagInto(diag, plan); err != nil {
+			if err := slv.SolveDiagInto(diag, plan); err != nil {
 				return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
 			}
 			for i := range nodeIdx {
@@ -1549,71 +1524,26 @@ func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.O
 			fz.diagSolves++
 			fz.diagRows += plan.RowsPerSolve()
 			kind = solveKindDiag
-			// Sampled residual probe: the batched kernel produces only the
-			// Z_kk values, so every probeEvery-th frequency runs one full
-			// solve for the first node and verifies it. The kernel and the
-			// full solve perform bitwise-identical arithmetic on the shared
-			// factorization (both skip zero multipliers), so overwriting the
-			// kernel's value with the probe's is exact, not a perturbation.
 			if fz.resThreshold > 0 && fz.probeEvery > 0 && k%fz.probeEvery == 0 {
-				idx0 := nodeIdx[0]
-				b[idx0] = 1
-				perr := num.SolveInto(x, b)
-				if perr != nil {
-					b[idx0] = 0
-					return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, perr)
+				if err := fz.probeDiag(slv, f, k, nodeIdx, out, b, x); err != nil {
+					return nil, err
 				}
-				slv2, verr := fz.verify(num, omega, f, x, b, false)
-				b[idx0] = 0
-				if verr != nil {
-					return nil, verr
-				}
-				out[0][k] = x[idx0]
-				if slv2 != cSolver(num) {
-					// The ladder escalated to a fresh full factorization:
-					// the kernel's values for this frequency came from the
-					// degraded one, so redo the whole point on the new
-					// solver with full substitutions.
+				if fz.kind != solveKindRefactor {
 					kind = fz.kind
-					fz.diagFallbacks++
-					for i, idx := range nodeIdx {
-						b[idx] = 1
-						serr := slv2.SolveInto(x, b)
-						b[idx] = 0
-						if serr != nil {
-							return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, serr)
-						}
-						out[i][k] = x[idx]
-					}
 				}
 			}
 			fz.condSampleAt(k, len(freqs))
+			fz.solves += int64(len(nodeIdx))
 		} else {
-			// Fallback factorization (collapsed pivot, drift, or a failed
-			// symbolic build): its pivot order is its own, so the frozen
-			// reach sets do not apply — run the full per-node substitutions.
+			// Re-pivoted point (collapsed pivot, drift, or no frozen
+			// analysis): its pivot order is its own, so the frozen reach
+			// sets do not apply — run the full per-node substitutions.
 			fz.diagFallbacks++
-			for i, idx := range nodeIdx {
-				b[idx] = 1 // 1 A injection into the node
-				err := slv.SolveInto(x, b)
-				if err != nil {
-					b[idx] = 0
-					return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
-				}
-				if i == 0 {
-					slv2, verr := fz.verify(slv, omega, f, x, b, false)
-					if verr != nil {
-						b[idx] = 0
-						return nil, verr
-					}
-					slv = slv2
-					kind = fz.kind
-				}
-				b[idx] = 0 // b stays all-zero between solves
-				out[i][k] = x[idx]
+			if err := fz.solveColumns(slv, f, k, nodeIdx, out, b, x); err != nil {
+				return nil, err
 			}
+			kind = fz.kind
 		}
-		fz.solves += int64(len(nodeIdx))
 		if slow != nil {
 			slow.note(f, time.Since(t0), kind)
 		}

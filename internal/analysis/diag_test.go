@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -24,7 +23,7 @@ func allNodeIdx(s *Sim) []int {
 
 // TestImpedanceDiagSweepProperty: on randomized RC/RLC ladders the
 // reach-restricted diagonal kernel, the full shared-factorization sweep,
-// and the dense solver must agree on every Z_kk to 1e-9 scale-relative
+// and the dense oracle must agree on every Z_kk to 1e-9 scale-relative
 // across a multi-decade sweep; the kernel counters must show the diag path
 // actually ran with zero fallbacks.
 func TestImpedanceDiagSweepProperty(t *testing.T) {
@@ -36,17 +35,7 @@ func TestImpedanceDiagSweepProperty(t *testing.T) {
 		op := mustOP(t, s)
 		idx := allNodeIdx(s)
 
-		s.Opt.Matrix = MatrixDense
-		zd, err := s.ImpedanceMatrixColumns(context.Background(), freqs, op, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Dense mode delegates wholesale — same shape, same numbers.
-		zdd, err := s.ImpedanceDiagSweep(context.Background(), freqs, op, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Opt.Matrix = MatrixSparse
+		zd := denseZ(t, s.Sys, freqs, op, idx)
 		zf, err := s.ImpedanceMatrixColumns(context.Background(), freqs, op, idx)
 		if err != nil {
 			t.Fatal(err)
@@ -62,20 +51,8 @@ func TestImpedanceDiagSweepProperty(t *testing.T) {
 		if d := mACDiagFallbacks.Value() - falls0; d != 0 {
 			t.Errorf("trial %d: diag fallbacks delta = %d, want 0", trial, d)
 		}
-		for i := range idx {
-			for k := range freqs {
-				mag := math.Max(cmplx.Abs(zd[i][k]), 1e-12)
-				for _, got := range []struct {
-					name string
-					z    complex128
-				}{{"dense-diag", zdd[i][k]}, {"sparse-full", zf[i][k]}, {"sparse-diag", zg[i][k]}} {
-					if d := cmplx.Abs(zd[i][k] - got.z); d > 1e-9*mag {
-						t.Fatalf("trial %d node %d f=%g Hz %s: |dz| = %g vs |z| = %g",
-							trial, i, freqs[k], got.name, d, mag)
-					}
-				}
-			}
-		}
+		checkImpedances(t, fmt.Sprintf("trial %d sparse-full", trial), freqs, zd, zf)
+		checkImpedances(t, fmt.Sprintf("trial %d sparse-diag", trial), freqs, zd, zg)
 	}
 }
 
@@ -115,44 +92,14 @@ func installSymbolic(s *Sim, pat *sparse.Pattern, sym *sparse.Symbolic) {
 // onto the refactor-fallback path: the symbolic analysis is built from
 // doctored values that pivot column zq on the (zp, zq) entry, which in the
 // real matrix is a ~1e-30 capacitor — each Refactor hits the collapsed-
-// pivot guard, falls back to a full factorization, and the diag sweep must
-// run the full per-node substitutions for that point. Results must still
-// match the dense solver to 1e-9.
+// pivot guard, is re-pivoted on its stamped values, and the diag sweep
+// must run the full per-node substitutions for that point. Results must
+// still match the dense oracle to 1e-9.
 func TestImpedanceDiagRefactorFallback(t *testing.T) {
 	freqs := sweepFreqs(12)
 	s := compile(t, fallbackIslandCircuit(8))
 	op := mustOP(t, s)
-	sys := s.Sys
-	n := sys.NumUnknowns()
-	omega0 := 2 * math.Pi * freqs[0]
-	rec := sparse.NewRecorder(n)
-	sys.StampAC(rec, nil, omega0, op)
-	pat := rec.Compile()
-	v := pat.NewVals()
-	v.Begin()
-	sys.StampAC(v, nil, omega0, op)
-	if v.Drift() {
-		t.Fatal("non-deterministic stamp")
-	}
-	pIdx, ok := sys.NodeOf("zp")
-	if !ok {
-		t.Fatal("no zp node")
-	}
-	qIdx, ok := sys.NodeOf("zq")
-	if !ok {
-		t.Fatal("no zq node")
-	}
-	slot := pat.SlotOf(pIdx, qIdx)
-	if slot < 0 {
-		t.Fatalf("no (zp, zq) entry in the pattern")
-	}
-	doctored := append([]complex128(nil), v.Values()...)
-	doctored[slot] = 1e6 // analyze-time pivot bait, ~0 in the real matrix
-	sym, err := pat.Analyze(doctored)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Opt.Matrix = MatrixSparse
+	pat, sym := doctoredSymbolic(t, s, op, 2*math.Pi*freqs[0])
 	installSymbolic(s, pat, sym)
 
 	idx := allNodeIdx(s)
@@ -167,22 +114,7 @@ func TestImpedanceDiagRefactorFallback(t *testing.T) {
 	if d := mACDiagSolves.Value() - solves0; d != 0 {
 		t.Errorf("diag solves delta = %d, want 0 under forced fallback", d)
 	}
-
-	s2 := compile(t, fallbackIslandCircuit(8))
-	s2.Opt.Matrix = MatrixDense
-	zd, err := s2.ImpedanceMatrixColumns(context.Background(), freqs, mustOP(t, s2), idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range idx {
-		for k := range freqs {
-			mag := math.Max(cmplx.Abs(zd[i][k]), 1e-12)
-			if d := cmplx.Abs(zd[i][k] - zg[i][k]); d > 1e-9*mag {
-				t.Fatalf("node %d f=%g Hz: fallback path |dz| = %g vs |z| = %g",
-					i, freqs[k], d, mag)
-			}
-		}
-	}
+	checkImpedances(t, "fallback path", freqs, denseZ(t, s.Sys, freqs, op, idx), zg)
 }
 
 // driftLadder builds the deterministic ladder the pattern-drift test uses;
@@ -208,29 +140,16 @@ func driftLadder(withExtra bool) *netlist.Circuit {
 // starts under a symbolic analysis recorded from a different stamp stream
 // (same node set, one extra element), so the first stamped frequency
 // trips the drift checksum, invalidates the cache, and the whole sweep
-// runs full factorizations — every point a diag fallback, results still
-// agreeing with dense.
+// runs on per-point patterns — every point a diag fallback, results still
+// agreeing with the dense oracle.
 func TestImpedanceDiagPatternDrift(t *testing.T) {
 	freqs := sweepFreqs(10)
 	s := compile(t, driftLadder(false))
 	op := mustOP(t, s)
-	other := compile(t, driftLadder(true))
-	if other.Sys.NumUnknowns() != s.Sys.NumUnknowns() {
+	if n := compile(t, driftLadder(true)).Sys.NumUnknowns(); n != s.Sys.NumUnknowns() {
 		t.Fatal("drift fixture changed the unknown count")
 	}
-	opOther := mustOP(t, other)
-	omega0 := 2 * math.Pi * freqs[0]
-	rec := sparse.NewRecorder(other.Sys.NumUnknowns())
-	other.Sys.StampAC(rec, nil, omega0, opOther)
-	pat := rec.Compile()
-	v := pat.NewVals()
-	v.Begin()
-	other.Sys.StampAC(v, nil, omega0, opOther)
-	sym, err := pat.Analyze(v.Values())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Opt.Matrix = MatrixSparse
+	pat, sym := driftSymbolic(t, 2*math.Pi*freqs[0])
 	installSymbolic(s, pat, sym)
 
 	idx := allNodeIdx(s)
@@ -243,23 +162,9 @@ func TestImpedanceDiagPatternDrift(t *testing.T) {
 		t.Errorf("pattern drift delta = %d, want 1", d)
 	}
 	if d := mACDiagFallbacks.Value() - falls0; d != int64(len(freqs)) {
-		t.Errorf("diag fallbacks delta = %d, want %d (drift runs out the sweep on full factorizations)", d, len(freqs))
+		t.Errorf("diag fallbacks delta = %d, want %d (drift runs out the sweep on per-point patterns)", d, len(freqs))
 	}
-
-	s.Opt.Matrix = MatrixDense
-	zd, err := s.ImpedanceMatrixColumns(context.Background(), freqs, op, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range idx {
-		for k := range freqs {
-			mag := math.Max(cmplx.Abs(zd[i][k]), 1e-12)
-			if d := cmplx.Abs(zd[i][k] - zg[i][k]); d > 1e-9*mag {
-				t.Fatalf("node %d f=%g Hz: drift path |dz| = %g vs |z| = %g",
-					i, freqs[k], d, mag)
-			}
-		}
-	}
+	checkImpedances(t, "drift path", freqs, denseZ(t, s.Sys, freqs, op, idx), zg)
 }
 
 // TestImpedanceDiagSweepSteadyStateAllocs: after the symbolic analysis and
@@ -268,7 +173,6 @@ func TestImpedanceDiagPatternDrift(t *testing.T) {
 // fixed slack (result rows grow in size, not count).
 func TestImpedanceDiagSweepSteadyStateAllocs(t *testing.T) {
 	s := compile(t, driftLadder(false))
-	s.Opt.Matrix = MatrixSparse
 	op := mustOP(t, s)
 	idx := allNodeIdx(s)
 	if _, err := s.ImpedanceDiagSweep(context.Background(), sweepFreqs(8), op, idx); err != nil {
@@ -294,7 +198,6 @@ func TestImpedanceDiagSweepSteadyStateAllocs(t *testing.T) {
 func TestImpedanceDiagTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	s := compile(t, randomLadder(rng, 25))
-	s.Opt.Matrix = MatrixSparse
 	op := mustOP(t, s)
 	freqs := sweepFreqs(20)
 	run := obs.StartRun("diag-trace")

@@ -10,7 +10,6 @@ import (
 
 	"acstab/internal/acerr"
 	"acstab/internal/obs"
-	"acstab/internal/sparse"
 )
 
 // TestACResidualTelemetry: a healthy sparse sweep verifies every
@@ -20,7 +19,6 @@ import (
 func TestACResidualTelemetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	s := compile(t, randomLadder(rng, 25))
-	s.Opt.Matrix = MatrixSparse
 	op := mustOP(t, s)
 	freqs := sweepFreqs(24)
 	run := obs.StartRun("numerics-telemetry")
@@ -77,7 +75,6 @@ func TestACResidualTelemetry(t *testing.T) {
 func TestACResidualDisabled(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	s := compile(t, randomLadder(rng, 20))
-	s.Opt.Matrix = MatrixSparse
 	s.Opt.ResidualThreshold = -1
 	op := mustOP(t, s)
 	run := obs.StartRun("numerics-off")
@@ -101,7 +98,6 @@ func TestACResidualDisabled(t *testing.T) {
 func TestACResidualImpossibleThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	s := compile(t, randomLadder(rng, 20))
-	s.Opt.Matrix = MatrixSparse
 	s.Opt.ResidualThreshold = 1e-30
 	op := mustOP(t, s)
 	run := obs.StartRun("numerics-impossible")
@@ -121,44 +117,6 @@ func TestACResidualImpossibleThreshold(t *testing.T) {
 	if got := tr.Counters["ac_refinements"]; got < 1 {
 		t.Errorf("ac_refinements = %d, want >= 1 (the ladder must try before failing)", got)
 	}
-}
-
-// marginalPivotSymbolic builds the PR 5 forcing rig with a pivot that is
-// bad but not collapsed: the symbolic analysis pivots column zq on the
-// (zp, zq) entry, which in the real matrix is a ~1e-18 F capacitor —
-// small enough to wreck the elimination's accuracy (multipliers ~1e8),
-// large enough to pass the refactor collapsed-pivot guard. Every
-// frequency then breaches the residual threshold and must be repaired by
-// refinement or escalation, not rejected up front.
-func marginalPivotSymbolic(t *testing.T, s *Sim, omega0 float64) (*sparse.Pattern, *sparse.Symbolic) {
-	t.Helper()
-	op := mustOP(t, s)
-	sys := s.Sys
-	rec := sparse.NewRecorder(sys.NumUnknowns())
-	sys.StampAC(rec, nil, omega0, op)
-	pat := rec.Compile()
-	v := pat.NewVals()
-	v.Begin()
-	sys.StampAC(v, nil, omega0, op)
-	pIdx, ok := sys.NodeOf("zp")
-	if !ok {
-		t.Fatal("no zp node")
-	}
-	qIdx, ok := sys.NodeOf("zq")
-	if !ok {
-		t.Fatal("no zq node")
-	}
-	slot := pat.SlotOf(pIdx, qIdx)
-	if slot < 0 {
-		t.Fatal("no (zp, zq) entry in the pattern")
-	}
-	doctored := append([]complex128(nil), v.Values()...)
-	doctored[slot] = 1e6 // analyze-time pivot bait
-	sym, err := pat.Analyze(doctored)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pat, sym
 }
 
 // compileMarginalIsland compiles fallbackIslandCircuit with two changes
@@ -190,8 +148,7 @@ func TestACResidualBreachRepaired(t *testing.T) {
 	freqs := []float64{1e6, 2e6, 5e6, 1e7}
 	s := compileMarginalIsland(t)
 	op := mustOP(t, s)
-	s.Opt.Matrix = MatrixSparse
-	pat, sym := marginalPivotSymbolic(t, s, 2*math.Pi*freqs[0])
+	pat, sym := doctoredSymbolic(t, s, op, 2*math.Pi*freqs[0])
 	installSymbolic(s, pat, sym)
 
 	run := obs.StartRun("numerics-breach")
@@ -216,30 +173,7 @@ func TestACResidualBreachRepaired(t *testing.T) {
 	// The repaired solutions must match an independent dense solve. The
 	// bound is forward error, κ·η — the rig's island makes the system
 	// genuinely nastier than a healthy ladder, so this is loose by design.
-	s2 := compileMarginalIsland(t)
-	s2.Opt.Matrix = MatrixDense
-	rd, err := s2.AC(context.Background(), freqs, mustOP(t, s2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := s.Sys.NumUnknowns()
-	for k := range freqs {
-		scale := 0.0
-		for i := 0; i < n; i++ {
-			if a := cmplx.Abs(rd.Sol[k][i]); a > scale {
-				scale = a
-			}
-		}
-		if scale == 0 {
-			scale = 1
-		}
-		for i := 0; i < n; i++ {
-			if d := cmplx.Abs(rd.Sol[k][i] - res.Sol[k][i]); d > 1e-5*scale {
-				t.Fatalf("f=%g Hz unknown %d: repaired sparse deviates from dense by %g (scale %g)",
-					freqs[k], i, d, scale)
-			}
-		}
-	}
+	checkSolutions(t, "repaired sweep", freqs, denseAC(t, s.Sys, freqs, op), res.Sol, 1e-5)
 }
 
 // TestACResidualBoundsTrueError: the textbook forward-error bound — on
@@ -255,7 +189,6 @@ func TestACResidualBoundsTrueError(t *testing.T) {
 		op := mustOP(t, s)
 		n := s.Sys.NumUnknowns()
 
-		s.Opt.Matrix = MatrixSparse
 		run := obs.StartRun("numerics-bound")
 		s.Trace = run
 		rs, err := s.AC(context.Background(), freqs, op)
@@ -271,18 +204,14 @@ func TestACResidualBoundsTrueError(t *testing.T) {
 			t.Fatalf("trial %d: missing health stats (resMax %g, condMax %g)", trial, resMax, condMax)
 		}
 
-		s.Opt.Matrix = MatrixDense
-		rd, err := s.AC(context.Background(), freqs, op)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rd := denseAC(t, s.Sys, freqs, op)
 		// κ is sampled, not tracked per point, so give the bound two orders
 		// of slack plus a floor for the dense reference's own roundoff.
 		bound := 100*condMax*resMax + 1e-11
 		for k := range freqs {
 			scale := 0.0
 			for i := 0; i < n; i++ {
-				if a := cmplx.Abs(rd.Sol[k][i]); a > scale {
+				if a := cmplx.Abs(rd[k][i]); a > scale {
 					scale = a
 				}
 			}
@@ -290,7 +219,7 @@ func TestACResidualBoundsTrueError(t *testing.T) {
 				scale = 1
 			}
 			for i := 0; i < n; i++ {
-				if d := cmplx.Abs(rd.Sol[k][i] - rs.Sol[k][i]); d > bound*scale {
+				if d := cmplx.Abs(rd[k][i] - rs.Sol[k][i]); d > bound*scale {
 					t.Fatalf("trial %d f=%g Hz unknown %d: true error %g exceeds health bound %g (κ %g, η %g)",
 						trial, freqs[k], i, d/scale, bound, condMax, resMax)
 				}

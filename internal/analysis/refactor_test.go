@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -49,60 +48,25 @@ func sweepFreqs(points int) []float64 {
 }
 
 // TestACSparseDenseProperty: on randomized RC/RLC ladders the sparse
-// two-phase path and the dense path must agree within 1e-9 relative
+// engine must agree with the dense oracle within 1e-9 scale-relative
 // tolerance for every unknown at every frequency of a multi-decade sweep.
-// Ladder sizes land on both sides of the MatrixAuto threshold.
+// Ladder sizes span small (under 64 unknowns) and large systems.
 func TestACSparseDenseProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	freqs := sweepFreqs(40)
 	for trial := 0; trial < 6; trial++ {
-		// Alternate small and large so auto mode picks dense on even
-		// trials and sparse on odd ones (threshold is 64 unknowns).
 		stages := 4 + rng.Intn(8)
 		if trial%2 == 1 {
 			stages = 40 + rng.Intn(20)
 		}
 		s := compile(t, randomLadder(rng, stages))
 		op := mustOP(t, s)
-		n := s.Sys.NumUnknowns()
-
-		run := func(mode MatrixMode) *ACResult {
-			t.Helper()
-			s.Opt.Matrix = mode
-			r, err := s.AC(context.Background(), freqs, op)
-			if err != nil {
-				t.Fatalf("trial %d (n=%d) mode %d: %v", trial, n, mode, err)
-			}
-			return r
+		rs, err := s.AC(context.Background(), freqs, op)
+		if err != nil {
+			t.Fatalf("trial %d (n=%d): %v", trial, s.Sys.NumUnknowns(), err)
 		}
-		rd := run(MatrixDense)
-		rs := run(MatrixSparse)
-		ra := run(MatrixAuto)
-
-		for k := range freqs {
-			// Scale-relative comparison: each unknown against the largest
-			// solution component at this frequency, which keeps the check
-			// meaningful when a deep-ladder node underflows.
-			scale := 0.0
-			for i := 0; i < n; i++ {
-				if a := cmplx.Abs(rd.Sol[k][i]); a > scale {
-					scale = a
-				}
-			}
-			if scale == 0 {
-				scale = 1
-			}
-			for i := 0; i < n; i++ {
-				if d := cmplx.Abs(rd.Sol[k][i] - rs.Sol[k][i]); d > 1e-9*scale {
-					t.Fatalf("trial %d (n=%d) f=%g Hz unknown %d: sparse/dense differ by %g (scale %g)",
-						trial, n, freqs[k], i, d, scale)
-				}
-				if d := cmplx.Abs(rd.Sol[k][i] - ra.Sol[k][i]); d > 1e-9*scale {
-					t.Fatalf("trial %d (n=%d) f=%g Hz unknown %d: auto deviates by %g",
-						trial, n, freqs[k], i, d)
-				}
-			}
-		}
+		checkSolutions(t, fmt.Sprintf("trial %d (n=%d)", trial, s.Sys.NumUnknowns()),
+			freqs, denseAC(t, s.Sys, freqs, op), rs.Sol, oracleTol)
 	}
 }
 
@@ -116,29 +80,12 @@ func TestImpedanceSparseDenseProperty(t *testing.T) {
 		stages := 10 + rng.Intn(30)
 		s := compile(t, randomLadder(rng, stages))
 		op := mustOP(t, s)
-		idx := make([]int, s.Sys.NumNodes())
-		for i := range idx {
-			idx[i] = i
-		}
-		s.Opt.Matrix = MatrixDense
-		zd, err := s.ImpedanceMatrixColumns(context.Background(), freqs, op, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Opt.Matrix = MatrixSparse
+		idx := allNodeIdx(s)
 		zs, err := s.ImpedanceMatrixColumns(context.Background(), freqs, op, idx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range idx {
-			for k := range freqs {
-				mag := cmplx.Abs(zd[i][k])
-				if d := cmplx.Abs(zd[i][k] - zs[i][k]); d > 1e-9*math.Max(mag, 1e-12) {
-					t.Fatalf("trial %d node %d f=%g Hz: |dz| = %g vs |z| = %g",
-						trial, i, freqs[k], d, mag)
-				}
-			}
-		}
+		checkImpedances(t, fmt.Sprintf("trial %d", trial), freqs, denseZ(t, s.Sys, freqs, op, idx), zs)
 	}
 }
 
@@ -157,7 +104,6 @@ func TestImpedanceSteadyStateAllocs(t *testing.T) {
 		prev = cur
 	}
 	s := compile(t, c)
-	s.Opt.Matrix = MatrixSparse
 	op := mustOP(t, s)
 	idx := []int{0, 5, 10}
 

@@ -14,7 +14,6 @@ import (
 func TestACSlowPointCapture(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := compile(t, randomLadder(rng, 50))
-	s.Opt.Matrix = MatrixSparse
 	op := mustOP(t, s)
 	freqs := sweepFreqs(40)
 
@@ -30,7 +29,7 @@ func TestACSlowPointCapture(t *testing.T) {
 		t.Fatalf("slow points = %d, want 1..%d", len(tr.SlowPoints), obs.MaxSlowPoints+obs.MaxHealthPoints)
 	}
 	valid := map[string]bool{
-		"dense": true, "full": true, "refactor": true,
+		"full": true, "refactor": true,
 		"refactor_fallback": true, "pattern_drift": true, "diag": true,
 	}
 	wall, health := 0, 0
@@ -81,7 +80,6 @@ func TestACSlowPointCapture(t *testing.T) {
 func TestImpedanceSlowPointCapture(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	s := compile(t, randomLadder(rng, 30))
-	s.Opt.Matrix = MatrixSparse
 	op := mustOP(t, s)
 	run := obs.StartRun("slow-z")
 	s.Trace = run

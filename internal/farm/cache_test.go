@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"acstab/internal/analysis"
 	"acstab/internal/netlist"
 	"acstab/internal/obs"
 	"acstab/internal/tool"
@@ -203,20 +202,15 @@ func TestCacheChecksumInvalidation(t *testing.T) {
 	key := KeyFor(tankNetlist, nil)
 	var calls atomic.Int32
 
-	// The tank is below the auto sparse threshold; force the sparse solver
-	// so the sweep builds the symbolic analysis whose checksum the cache
-	// validates.
-	aopt := analysis.DefaultOptions()
-	aopt.Matrix = analysis.MatrixSparse
-	opts := tool.DefaultOptions()
-	opts.Analysis = &aopt
+	// The first sweep builds the symbolic analysis whose checksum the
+	// cache validates.
 	compile := func() (*tool.Compiled, error) {
 		calls.Add(1)
 		ckt, err := netlist.Parse(tankNetlist)
 		if err != nil {
 			return nil, err
 		}
-		return tool.Compile(ckt, opts)
+		return tool.Compile(ckt, tool.DefaultOptions())
 	}
 
 	comp, _, err := c.Get(ctx, key, compile)

@@ -41,8 +41,15 @@ func newHistogram(bounds []float64) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	// Binary search: bounds are ascending and short, but O(log n) keeps
-	// large custom bucket sets cheap too.
+	h.counts[h.bucket(v)].Add(1)
+	h.count.Add(1)
+	h.addSum(v)
+}
+
+// bucket returns the index of the bucket v falls in. Binary search:
+// bounds are ascending and short, but O(log n) keeps large custom bucket
+// sets cheap too.
+func (h *Histogram) bucket(v float64) int {
 	lo, hi := 0, len(h.bounds)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -52,8 +59,10 @@ func (h *Histogram) Observe(v float64) {
 			lo = mid + 1
 		}
 	}
-	h.counts[lo].Add(1)
-	h.count.Add(1)
+	return lo
+}
+
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sumU.Load()
 		nv := math.Float64bits(math.Float64frombits(old) + v)
@@ -61,6 +70,46 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
+}
+
+// LocalHistogram stages observations for one Histogram in plain counters
+// and publishes them with one set of atomic adds per Flush, keeping
+// atomics out of loops that observe once per item. It is not safe for
+// concurrent use; give each goroutine its own.
+type LocalHistogram struct {
+	h      *Histogram
+	counts []int64
+	count  int64
+	sum    float64
+}
+
+// Local returns an empty staging area for h.
+func (h *Histogram) Local() *LocalHistogram {
+	return &LocalHistogram{h: h, counts: make([]int64, len(h.counts))}
+}
+
+// Observe stages one value.
+func (l *LocalHistogram) Observe(v float64) {
+	l.counts[l.h.bucket(v)]++
+	l.count++
+	l.sum += v
+}
+
+// Flush publishes the staged values to the histogram and resets the
+// staging area.
+func (l *LocalHistogram) Flush() {
+	if l.count == 0 {
+		return
+	}
+	for i, c := range l.counts {
+		if c != 0 {
+			l.h.counts[i].Add(c)
+			l.counts[i] = 0
+		}
+	}
+	l.h.count.Add(l.count)
+	l.h.addSum(l.sum)
+	l.count, l.sum = 0, 0
 }
 
 // ObserveDuration records the seconds elapsed since start.

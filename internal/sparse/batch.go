@@ -17,8 +17,8 @@ package sparse
 // the batch size can never change a result.
 //
 // A lane whose pivot collapses (the same refactorPivTol test as the
-// serial path) is marked not-OK and the caller refactors that frequency
-// from scratch, exactly like the serial fallback. Dead lanes keep
+// serial path) is marked not-OK and the caller re-pivots that frequency
+// with Pattern.Repivot, exactly like the serial fallback. Dead lanes keep
 // computing: the elimination's clear-as-consumed discipline is value-
 // independent (the pattern is closed under the elimination), so even a
 // lane full of Inf/NaN leaves the K-wide scatter row all-zero for the
@@ -27,7 +27,6 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 )
 
 // NumericBatch is a block of up to K numeric factorizations over one
@@ -77,7 +76,7 @@ func (nb *NumericBatch) Lanes() int { return nb.m }
 
 // LaneOK reports whether lane j's last Refactor kept every pivot above the
 // collapse threshold. Factors of a failed lane are garbage; the caller
-// must re-solve that frequency via a full factorization.
+// must re-solve that frequency via Pattern.Repivot.
 func (nb *NumericBatch) LaneOK(j int) bool { return j >= 0 && j < nb.m && nb.ok[j] }
 
 // LaneGrowth returns lane j's pivot-growth factor (max |u_kk| over the
@@ -118,7 +117,7 @@ func (nb *NumericBatch) Refactor(lanes [][]complex128) error {
 			for j := 0; j < m; j++ {
 				v := lanes[j][idx]
 				w[cK+j] = v
-				if a := cmplx.Abs(v); a > nb.scale[j] {
+				if a := cabs1(v); a > nb.scale[j] {
 					nb.scale[j] = a
 				}
 			}
@@ -158,7 +157,7 @@ func (nb *NumericBatch) Refactor(lanes [][]complex128) error {
 		for j := 0; j < m; j++ {
 			d := nb.d[j]
 			if nb.ok[j] {
-				ad := cmplx.Abs(d)
+				ad := cabs1(d)
 				if !(ad > refactorPivTol*nb.scale[j]) || math.IsInf(ad, 0) {
 					// Same test as the serial path; !(x > y) also catches NaN.
 					// The lane keeps computing so its scatter stripe stays on

@@ -21,9 +21,9 @@ package sparse
 // Reusing a pivot order chosen at one frequency at another is safe for
 // the diagonally dominant MNA systems this repo sweeps, but it is guarded
 // anyway: Vals carries an order-sensitive structural checksum (pattern
-// drift falls back to a full factorization) and Refactor rejects pivots
-// that collapse relative to their row scale (numeric drift falls back the
-// same way).
+// drift re-records the pattern) and Refactor rejects pivots that collapse
+// relative to their row scale (numeric drift re-pivots the same values
+// with Pattern.Repivot).
 
 import (
 	"fmt"
@@ -165,8 +165,8 @@ func (v *Vals) Add(i, j int, val complex128) {
 
 // Drift reports whether the stamping pass since Begin deviated
 // structurally (different call count or call stream) from the pattern.
-// When it does, the values are meaningless and the caller must fall back
-// to a full map-based factorization.
+// When it does, the values are meaningless and the caller must record a
+// fresh pattern for the pass.
 func (v *Vals) Drift() bool {
 	return v.t != len(v.p.seq) || v.sig != v.p.sig
 }
@@ -195,13 +195,13 @@ type Symbolic struct {
 }
 
 // FillIn returns the number of L multipliers plus U entries (diagonal
-// included), the same measure LU.FillIn reports.
+// included), a measure of factorization fill.
 func (s *Symbolic) FillIn() int { return len(s.lsrc) + len(s.ucol) + s.n }
 
 // Analyze runs the one-time pivot search and fill analysis on the pattern
 // with the given values (one stamped frequency point of the sweep). The
 // pivot choice is numeric — threshold partial pivoting with the Markowitz
-// sparsity tie-break, exactly like Factor — but the recorded elimination
+// sparsity tie-break — but the recorded elimination
 // order and fill pattern are value-independent: fill positions are kept
 // even when a value happens to cancel, so the pattern is closed under the
 // elimination at every other frequency.
@@ -258,7 +258,8 @@ func (p *Pattern) Analyze(vals []complex128) (*Symbolic, error) {
 				}
 			}
 		}
-		// Same min(column, pivot row) scale rule as Factor: see singularTol.
+		// Singular only when collapsed against both its column and its
+		// pivot row: see singularTol.
 		scale := colScale[col]
 		if maxRow >= 0 && rowScale[maxRow] < scale {
 			scale = rowScale[maxRow]
@@ -338,8 +339,29 @@ func (p *Pattern) Analyze(vals []complex128) (*Symbolic, error) {
 // this fraction of its row's input magnitude. The pivot order was chosen
 // at a different frequency; when the values at the current frequency make
 // that order numerically unusable, Refactor reports ErrSingular and the
-// caller falls back to a full factorization with a fresh pivot search.
+// caller re-pivots the same values with Repivot. Both magnitudes are ℓ1
+// moduli (cabs1): within √2 of |z|, which is all a collapse threshold
+// needs, and free of the Hypot call per stamped entry that would
+// otherwise dominate the refill of small systems.
 const refactorPivTol = 1e-12
+
+// Repivot runs a fresh pivot search on vals (Analyze) and returns the
+// factorization of those values over the new pivot order: the one-off
+// full factorization a sweep takes when the frozen order collapses at one
+// frequency or a residual breach escalates past refinement. The pivots
+// were just chosen on these very values, so the refill rejects only a
+// zero or non-finite pivot, not one Refactor's drift guard would.
+func (p *Pattern) Repivot(vals []complex128) (*Numeric, error) {
+	sym, err := p.Analyze(vals)
+	if err != nil {
+		return nil, err
+	}
+	nm := sym.NewNumeric()
+	if err := nm.refill(vals, 0); err != nil {
+		return nil, err
+	}
+	return nm, nil
+}
 
 // Numeric is a numeric factorization over a fixed Symbolic pattern. All
 // storage is allocated once; Refactor and SolveInto never allocate. A
@@ -376,8 +398,15 @@ func (s *Symbolic) NewNumeric() *Numeric {
 // no pivot search, no maps, no allocations: one Gilbert–Peierls pass per
 // row over the precomputed fill pattern. On a pivot failure the numeric
 // state is invalid and the error wraps acerr.ErrSingularMatrix; the
-// caller should refactor from scratch with Factor.
+// caller should re-pivot the values with Pattern.Repivot.
 func (nm *Numeric) Refactor(vals []complex128) error {
+	return nm.refill(vals, refactorPivTol)
+}
+
+// refill is Refactor with the collapsed-pivot tolerance as a parameter:
+// a pivot at or below pivTol times its row's input magnitude (or a
+// non-finite one) is rejected.
+func (nm *Numeric) refill(vals []complex128, pivTol float64) error {
 	sym, p := nm.sym, nm.sym.pat
 	if len(vals) != len(p.col) {
 		return fmt.Errorf("sparse: values length %d, want %d", len(vals), len(p.col))
@@ -390,7 +419,7 @@ func (nm *Numeric) Refactor(vals []complex128) error {
 		scale := 0.0
 		for idx := p.rowPtr[row]; idx < p.rowPtr[row+1]; idx++ {
 			w[p.col[idx]] = vals[idx]
-			if a := cmplx.Abs(vals[idx]); a > scale {
+			if a := cabs1(vals[idx]); a > scale {
 				scale = a
 			}
 		}
@@ -412,8 +441,8 @@ func (nm *Numeric) Refactor(vals []complex128) error {
 			nm.uval[ui] = w[c]
 			w[c] = 0
 		}
-		ad := cmplx.Abs(d)
-		if !(ad > refactorPivTol*scale) || math.IsInf(ad, 0) {
+		ad := cabs1(d)
+		if !(ad > pivTol*scale) || math.IsInf(ad, 0) {
 			// !(x > y) also catches NaN. Scrub the scatter row so the next
 			// Refactor starts from the all-zero invariant.
 			for i := range w {

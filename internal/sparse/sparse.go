@@ -1,18 +1,18 @@
-// Package sparse implements a sparse complex LU solver for MNA systems.
+// Package sparse implements the sparse complex LU solver for MNA systems.
 //
-// The matrix is accumulated coordinate-style through Add (duplicate entries
-// sum, matching MNA stamping), then factored with row-wise Gaussian
-// elimination using threshold partial pivoting with a Markowitz-style
-// tie-break (among numerically acceptable pivots, prefer the sparsest row)
-// to limit fill-in. One factorization can be reused for many right-hand
-// sides, which is how the all-nodes stability sweep amortizes the cost of a
-// frequency point across every injection node.
+// A stamping pass is recorded once into a frozen CSR Pattern (duplicate
+// entries sum, matching MNA stamping); Pattern.Analyze then factors it
+// with row-wise Gaussian elimination using threshold partial pivoting with
+// a Markowitz-style tie-break (among numerically acceptable pivots, prefer
+// the sparsest row) to limit fill-in, and records the pivot order and fill
+// pattern so every later frequency only refills values (refactor.go). One
+// factorization serves many right-hand sides, which is how the all-nodes
+// stability sweep amortizes the cost of a frequency point across every
+// injection node.
 package sparse
 
 import (
 	"fmt"
-	"math/cmplx"
-	"sort"
 
 	"acstab/internal/acerr"
 )
@@ -21,78 +21,6 @@ import (
 // acerr.ErrSingularMatrix so the condition is recognizable across the
 // public API boundary via errors.Is.
 var ErrSingular = fmt.Errorf("sparse: %w", acerr.ErrSingularMatrix)
-
-// Matrix is a sparse complex matrix under construction.
-type Matrix struct {
-	n    int
-	rows []map[int]complex128
-}
-
-// New returns an n-by-n sparse matrix.
-func New(n int) *Matrix {
-	return &Matrix{n: n, rows: make([]map[int]complex128, n)}
-}
-
-// N returns the dimension.
-func (m *Matrix) N() int { return m.n }
-
-// Add accumulates v into element (i,j).
-func (m *Matrix) Add(i, j int, v complex128) {
-	if v == 0 {
-		return
-	}
-	if m.rows[i] == nil {
-		m.rows[i] = make(map[int]complex128, 8)
-	}
-	m.rows[i][j] += v
-}
-
-// Set assigns element (i,j), replacing any accumulated value.
-func (m *Matrix) Set(i, j int, v complex128) {
-	if m.rows[i] == nil {
-		m.rows[i] = make(map[int]complex128, 8)
-	}
-	m.rows[i][j] = v
-}
-
-// At returns element (i,j).
-func (m *Matrix) At(i, j int) complex128 {
-	if m.rows[i] == nil {
-		return 0
-	}
-	return m.rows[i][j]
-}
-
-// NNZ returns the number of stored entries.
-func (m *Matrix) NNZ() int {
-	t := 0
-	for _, r := range m.rows {
-		t += len(r)
-	}
-	return t
-}
-
-// Zero clears all entries, preserving row maps for reuse.
-func (m *Matrix) Zero() {
-	for _, r := range m.rows {
-		for k := range r {
-			delete(r, k)
-		}
-	}
-}
-
-// MulVec computes y = m * x.
-func (m *Matrix) MulVec(x []complex128) []complex128 {
-	y := make([]complex128, m.n)
-	for i, r := range m.rows {
-		s := complex(0, 0)
-		for j, v := range r {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
 
 // pivotThreshold is the relative-magnitude threshold for accepting a pivot
 // candidate. Sparsity is used only as a tie-break among candidates whose
@@ -117,245 +45,3 @@ const pivotThreshold = 0.99
 // conductance elsewhere in the column dwarfs it, and a lone gmin
 // conductance is fine despite being tiny in absolute terms.
 const singularTol = 1e-13
-
-// LU is a factorization of a sparse matrix.
-type LU struct {
-	n int
-	// lop is the ordered list of elimination operations:
-	// x[target] -= mult * x[src] applied during forward substitution.
-	lop []elimOp
-	// urows[i] holds the upper-triangular row for pivot i, sorted by column,
-	// in elimination order. udiag[i] is its diagonal value.
-	urows [][]entry
-	udiag []complex128
-	// perm maps elimination step -> original row index.
-	perm []int
-	// ucols[k] is the solution (column) index of pivot step k.
-	ucols []int
-	// y is the permuted-RHS workspace for SolveInto. Lazily sized; its
-	// presence makes SolveInto unsafe for concurrent use (Solve remains
-	// safe: it allocates fresh vectors).
-	y []complex128
-}
-
-type entry struct {
-	col int
-	val complex128
-}
-
-type elimOp struct {
-	target int // permuted row index (elimination step of the target row)
-	src    int // elimination step of the pivot row
-	mult   complex128
-}
-
-// Factor computes an LU factorization. m is consumed (its rows are
-// modified); call Clone first if the matrix must survive.
-func Factor(m *Matrix) (*LU, error) {
-	n := m.n
-	work := make([]map[int]complex128, n)
-	colScale := make([]float64, n)
-	rowScale := make([]float64, n)
-	for i := range work {
-		if m.rows[i] == nil {
-			work[i] = map[int]complex128{}
-		} else {
-			work[i] = m.rows[i]
-		}
-		for j, v := range work[i] {
-			a := cmplx.Abs(v)
-			if a > colScale[j] {
-				colScale[j] = a
-			}
-			if a > rowScale[i] {
-				rowScale[i] = a
-			}
-		}
-	}
-	active := make([]bool, n)
-	f := &LU{
-		n:     n,
-		urows: make([][]entry, n),
-		udiag: make([]complex128, n),
-		perm:  make([]int, n),
-		ucols: make([]int, n),
-	}
-	for k := 0; k < n; k++ {
-		// Columns are eliminated in natural order (adequate for MNA, whose
-		// diagonal is usually the natural pivot); the pivot row is chosen
-		// by threshold pivoting with a Markowitz sparsity tie-break.
-		col := k
-		// Find candidates: active rows with nonzero in col.
-		best := -1
-		bestLen := 0
-		maxMag := 0.0
-		maxRow := -1
-		for i := 0; i < n; i++ {
-			if active[i] {
-				continue
-			}
-			if v, ok := work[i][col]; ok && v != 0 {
-				if a := cmplx.Abs(v); a > maxMag {
-					maxMag, maxRow = a, i
-				}
-			}
-		}
-		// A numerically collapsed pivot column (not just an exactly zero
-		// one) is singular: factoring through it would only launder Inf/NaN
-		// into the downstream stability analysis.
-		scale := colScale[col]
-		if maxRow >= 0 && rowScale[maxRow] < scale {
-			scale = rowScale[maxRow]
-		}
-		if maxMag <= singularTol*scale {
-			return nil, fmt.Errorf("%w (column %d)", ErrSingular, col)
-		}
-		for i := 0; i < n; i++ {
-			if active[i] {
-				continue
-			}
-			v, ok := work[i][col]
-			if !ok || v == 0 {
-				continue
-			}
-			if cmplx.Abs(v) < pivotThreshold*maxMag {
-				continue
-			}
-			if best == -1 || len(work[i]) < bestLen {
-				best, bestLen = i, len(work[i])
-			}
-		}
-		piv := best
-		active[piv] = true
-		f.perm[k] = piv
-		f.ucols[k] = col
-		pivRow := work[piv]
-		pd := pivRow[col]
-		f.udiag[k] = pd
-		// Eliminate col from all remaining rows.
-		for i := 0; i < n; i++ {
-			if active[i] {
-				continue
-			}
-			v, ok := work[i][col]
-			if !ok || v == 0 {
-				continue
-			}
-			mult := v / pd
-			delete(work[i], col)
-			for c, pv := range pivRow {
-				if c == col {
-					continue
-				}
-				nv := work[i][c] - mult*pv
-				if nv == 0 {
-					delete(work[i], c)
-				} else {
-					work[i][c] = nv
-				}
-			}
-			f.lop = append(f.lop, elimOp{target: i, src: k, mult: mult})
-		}
-		// Freeze the pivot row as a U row (columns other than pivot col).
-		ur := make([]entry, 0, len(pivRow)-1)
-		for c, pv := range pivRow {
-			if c != col && pv != 0 {
-				ur = append(ur, entry{c, pv})
-			}
-		}
-		sort.Slice(ur, func(a, b int) bool { return ur[a].col < ur[b].col })
-		f.urows[k] = ur
-	}
-	// Remap elimOp targets from original row index to elimination step so
-	// forward substitution can work on the permuted vector. Build inverse map.
-	stepOf := make([]int, n)
-	for k, r := range f.perm {
-		stepOf[r] = k
-	}
-	for i := range f.lop {
-		f.lop[i].target = stepOf[f.lop[i].target]
-	}
-	return f, nil
-}
-
-// Solve solves A x = b. b is unchanged.
-func (f *LU) Solve(b []complex128) ([]complex128, error) {
-	x := make([]complex128, f.n)
-	if err := f.solveInto(x, b, make([]complex128, f.n)); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// SolveInto solves A x = b into the caller's x without allocating. It
-// reuses an internal workspace, so it is not safe for concurrent use on
-// one LU (Solve is). b is unchanged and must not alias x.
-func (f *LU) SolveInto(x, b []complex128) error {
-	if f.y == nil {
-		f.y = make([]complex128, f.n)
-	}
-	return f.solveInto(x, b, f.y)
-}
-
-func (f *LU) solveInto(x, b, y []complex128) error {
-	if len(b) != f.n || len(x) != f.n {
-		return fmt.Errorf("sparse: rhs/solution length %d/%d, want %d", len(b), len(x), f.n)
-	}
-	n := f.n
-	// y in elimination order.
-	for k := 0; k < n; k++ {
-		y[k] = b[f.perm[k]]
-	}
-	// Forward: replay elimination ops in order. An op recorded at step k
-	// updates a row eliminated at a later step, so op order is valid.
-	for _, op := range f.lop {
-		if op.mult != 0 {
-			y[op.target] -= op.mult * y[op.src]
-		}
-	}
-	// Back substitution: rows in reverse elimination order. The solution is
-	// indexed by column.
-	for k := n - 1; k >= 0; k-- {
-		s := y[k]
-		for _, e := range f.urows[k] {
-			s -= e.val * x[e.col]
-		}
-		x[f.ucols[k]] = s / f.udiag[k]
-	}
-	return checkFinite(x)
-}
-
-// FillIn returns the number of L operations plus U entries, a measure of
-// factorization fill.
-func (f *LU) FillIn() int {
-	t := len(f.lop)
-	for _, r := range f.urows {
-		t += len(r) + 1
-	}
-	return t
-}
-
-// Solve factors a copy of m and solves m x = b in one call.
-func Solve(m *Matrix, b []complex128) ([]complex128, error) {
-	f, err := Factor(m.Clone())
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
-// Clone returns a deep copy of the matrix.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.n)
-	for i, r := range m.rows {
-		if len(r) == 0 {
-			continue
-		}
-		nr := make(map[int]complex128, len(r))
-		for k, v := range r {
-			nr[k] = v
-		}
-		c.rows[i] = nr
-	}
-	return c
-}

@@ -5,13 +5,10 @@ import (
 	"fmt"
 	"strings"
 
-	"acstab/internal/acerr"
 	"acstab/internal/analysis"
-	"acstab/internal/linalg"
 	"acstab/internal/mna"
 	"acstab/internal/netlist"
 	"acstab/internal/num"
-	"acstab/internal/sparse"
 	"acstab/internal/wave"
 )
 
@@ -91,46 +88,20 @@ func ReturnRatio(ctx context.Context, ckt *netlist.Circuit, elem string, freqs [
 	}
 	np, nn, cp, cn := idx[0], idx[1], idx[2], idx[3]
 
-	n := sys.NumUnknowns()
-	y := make([]complex128, len(freqs))
-	useSparse := n > 64
-	var dm *linalg.CMatrix
-	var sm *sparse.Matrix
-	if useSparse {
-		sm = sparse.New(n)
-	} else {
-		dm = linalg.NewCMatrix(n)
+	// Unit replacement current: what the VCCS output would drive.
+	b := make([]complex128, sys.NumUnknowns())
+	if np >= 0 {
+		b[np] -= 1
 	}
-	b := make([]complex128, n)
-	for k, f := range freqs {
-		if err := acerr.Ctx(ctx); err != nil {
-			return nil, err
-		}
-		omega := 2 * 3.141592653589793 * f
-		for i := range b {
-			b[i] = 0
-		}
-		// Unit replacement current: what the VCCS output would drive.
-		if np >= 0 {
-			b[np] -= 1
-		}
-		if nn >= 0 {
-			b[nn] += 1
-		}
-		var x []complex128
-		var err error
-		if useSparse {
-			sm.Zero()
-			sys.StampAC(sm, nil, omega, op)
-			x, err = sparse.Solve(sm, b)
-		} else {
-			dm.Zero()
-			sys.StampAC(dm, nil, omega, op)
-			x, err = linalg.CSolveDense(dm, b)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("tool: return ratio at %g Hz: %w", f, err)
-		}
+	if nn >= 0 {
+		b[nn] += 1
+	}
+	sol, err := sim.ACResponse(ctx, freqs, op, b)
+	if err != nil {
+		return nil, fmt.Errorf("tool: return ratio: %w", err)
+	}
+	y := make([]complex128, len(freqs))
+	for k, x := range sol {
 		var vc complex128
 		if cp >= 0 {
 			vc += x[cp]

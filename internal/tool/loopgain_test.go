@@ -2,11 +2,15 @@ package tool
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
 
+	"acstab/internal/analysis"
 	"acstab/internal/circuits"
+	"acstab/internal/linalg"
+	"acstab/internal/mna"
 	"acstab/internal/netlist"
 	"acstab/internal/num"
 )
@@ -101,5 +105,69 @@ func TestReturnRatioErrors(t *testing.T) {
 	}
 	if _, err := ReturnRatio(context.Background(), c, "R1", []float64{1e3}); err == nil {
 		t.Error("non-VCCS should fail")
+	}
+}
+
+// loopLadder is an RC ladder whose far end feeds back to its input through
+// the VCCS GLOOP; withLoop=false leaves the VCCS out, the circuit the
+// return ratio is measured on.
+func loopLadder(stages int, withLoop bool) *netlist.Circuit {
+	c := netlist.NewCircuit("loop ladder")
+	c.AddR("R0", "a0", "0", 1e3)
+	for i := 1; i <= stages; i++ {
+		cur, prev := fmt.Sprintf("a%d", i), fmt.Sprintf("a%d", i-1)
+		c.AddR(fmt.Sprintf("R%d", i), prev, cur, 1e3)
+		c.AddC(fmt.Sprintf("C%d", i), cur, "0", 1e-10)
+	}
+	if withLoop {
+		c.AddG("GLOOP", "a0", "0", fmt.Sprintf("a%d", stages), "0", 5e-3)
+	}
+	return c
+}
+
+// TestReturnRatioDenseOracle checks ReturnRatio against a dense solve of
+// the same measurement — the loop's VCCS removed, a unit current injected
+// at its output, the control voltage read back — on a system below and
+// one above 64 unknowns, at 1e-9 of the solution scale.
+func TestReturnRatioDenseOracle(t *testing.T) {
+	const gm = 5e-3
+	freqs := num.LogGridPPD(1e2, 1e9, 5)
+	for _, stages := range []int{8, 80} {
+		tw, err := ReturnRatio(context.Background(), loopLadder(stages, true), "GLOOP", freqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := mna.Compile(loopLadder(stages, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, err := analysis.New(sys).OP(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := sys.NumUnknowns()
+		if (stages > 10) != (n > 64) {
+			t.Fatalf("%d stages compiled to %d unknowns", stages, n)
+		}
+		out, _ := sys.NodeOf("a0")
+		ctrl, _ := sys.NodeOf(fmt.Sprintf("a%d", stages))
+		for k, f := range freqs {
+			m := linalg.NewCMatrix(n)
+			sys.StampAC(m, nil, 2*math.Pi*f, op)
+			b := make([]complex128, n)
+			b[out] = -1
+			x, err := linalg.CSolveDense(m, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scale := 0.0
+			for _, v := range x {
+				scale = math.Max(scale, cmplx.Abs(v))
+			}
+			want := -complex(gm, 0) * x[ctrl]
+			if d := cmplx.Abs(tw.Y[k] - want); d > 1e-9*gm*scale {
+				t.Fatalf("n=%d f=%g Hz: T = %v, dense oracle %v", n, f, tw.Y[k], want)
+			}
+		}
 	}
 }

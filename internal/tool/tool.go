@@ -461,6 +461,9 @@ func (t *Tool) parallelColumns(ctx context.Context, freqs []float64, op *mna.OpP
 		}
 		return got, nil
 	}
+	// Fix the pivot order at the grid's first frequency before the
+	// workers race to build it at their own chunk's.
+	t.Sim.PrepareAC(2*math.Pi*freqs[0], op)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var wg sync.WaitGroup

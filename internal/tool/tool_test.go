@@ -352,3 +352,42 @@ Rg a 0 1e6
 		t.Errorf("loops = %+v", rep.Loops)
 	}
 }
+
+// TestParallelColumnsDeterministic: splitting the frequency grid across
+// workers must not change a single bit of the impedance columns. The
+// sparse pivot order is chosen on the values of the frequency it is
+// analyzed at, so it must be pinned to the grid's first frequency rather
+// than to whichever worker's chunk reaches the shared analysis first.
+func TestParallelColumnsDeterministic(t *testing.T) {
+	ctx := context.Background()
+	columns := func(workers int) [][]complex128 {
+		opts := DefaultOptions()
+		opts.FStart, opts.FStop, opts.PointsPerDecade = 1e4, 1e8, 20
+		opts.Workers = workers
+		tl, err := New(circuits.ResonatorField(2, 1e6, 0.25), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, err := tl.ensureOP(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, _ := tl.nodeList()
+		cols, err := tl.parallelColumns(ctx, tl.Grid(), op, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cols
+	}
+	want := columns(1)
+	for rep := 0; rep < 8; rep++ {
+		got := columns(4)
+		for i := range want {
+			for k := range want[i] {
+				if got[i][k] != want[i][k] {
+					t.Fatalf("rep %d node %d point %d: 4 workers %v, 1 worker %v", rep, i, k, got[i][k], want[i][k])
+				}
+			}
+		}
+	}
+}
