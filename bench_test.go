@@ -384,13 +384,16 @@ func TestEmitSparseBenchSummary(t *testing.T) {
 }
 
 // TestEmitDiagBenchSummary writes a BENCH_diag.json summary of the
-// reach-restricted diagonal-extraction kernel when ACSTAB_BENCH_JSON names
+// selected-inverse diagonal-extraction kernel when ACSTAB_BENCH_JSON names
 // an output file: the all-nodes wall time on the 32-loop resonator field
-// (default options) plus the kernel counter deltas and the derived
-// rows-visited ratio — rows the batched diag solves actually touched over
-// the rows the same sweeps would have touched with full per-node
-// substitutions. The ratio is also asserted (< 0.7) so a reach-set
-// regression fails CI instead of silently emitting a worse artifact.
+// and on a 200-stage RC ladder (default options, one worker), each with
+// its kernel counter deltas and the derived rows-visited ratio — Z
+// entries the diag solves computed over the rows the same sweeps would
+// have touched with full per-node substitutions. The ratios are also
+// asserted so a kernel regression fails CI instead of silently emitting a
+// worse artifact: below 0.7 on the field, and below 0.05 on the ladder,
+// where per-node substitutions (and reach-restricted ones) visit O(n) rows
+// per node but the selected inverse computes O(1) entries per node.
 func TestEmitDiagBenchSummary(t *testing.T) {
 	path := os.Getenv("ACSTAB_BENCH_JSON")
 	if path == "" {
@@ -403,21 +406,29 @@ func TestEmitDiagBenchSummary(t *testing.T) {
 		"acstab_ac_refactorizations_total",
 		"acstab_ac_factorizations_total",
 	}
-	before := make(map[string]int64, len(counterNames))
-	for _, n := range counterNames {
-		before[n] = obs.GetCounter(n).Value()
-	}
 	ops := []struct {
-		name string
-		fn   func(*testing.B)
+		name     string
+		ckt      *netlist.Circuit
+		maxRatio float64
 	}{
-		{"AllNodesScaling32Auto", func(b *testing.B) { benchAllNodesScaling(b, 32, 0) }},
+		{"AllNodesScaling32Auto", circuits.ResonatorField(32, 1e5, 0.35), 0.7},
+		{"AllNodesLadder200", circuits.RCLadder(200), 0.05},
+	}
+	type diagStats struct {
+		Counters         map[string]int64 `json:"counters"`
+		RowsFullPerSolve int64            `json:"rows_full_per_solve"`
+		RowsVisitedRatio float64          `json:"rows_visited_ratio"`
 	}
 	var rows []benchSummaryRow
+	stats := make(map[string]diagStats, len(ops))
 	for _, op := range ops {
+		before := make(map[string]int64, len(counterNames))
+		for _, n := range counterNames {
+			before[n] = obs.GetCounter(n).Value()
+		}
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
-			op.fn(b)
+			benchAllNodesOneWorker(b, op.ckt, 0)
 		})
 		rows = append(rows, benchSummaryRow{
 			Op:          op.name,
@@ -426,35 +437,36 @@ func TestEmitDiagBenchSummary(t *testing.T) {
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			N:           r.N,
 		})
-	}
-	counters := make(map[string]int64, len(counterNames))
-	for _, n := range counterNames {
-		counters[n] = obs.GetCounter(n).Value() - before[n]
-	}
-	// Rows a full-substitution sweep would visit per batched solve: every
-	// injection node costs one forward plus one backward pass over all n
-	// unknowns of the benchmark circuit.
-	tl, err := tool.New(circuits.ResonatorField(32, 1e5, 0.35), tool.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nUnknowns := tl.Sys.NumUnknowns()
-	nNodes := len(tl.Sys.NodeNames)
-	rowsFullPerSolve := int64(nNodes) * 2 * int64(nUnknowns)
-	solves, visited := counters["acstab_ac_diag_solves_total"], counters["acstab_ac_diag_rows_visited_total"]
-	if solves == 0 {
-		t.Fatal("diag kernel never ran during the benchmark")
-	}
-	ratio := float64(visited) / (float64(solves) * float64(rowsFullPerSolve))
-	if !(ratio > 0 && ratio < 0.7) {
-		t.Errorf("rows-visited ratio = %g, want (0, 0.7): reach restriction regressed", ratio)
+		counters := make(map[string]int64, len(counterNames))
+		for _, n := range counterNames {
+			counters[n] = obs.GetCounter(n).Value() - before[n]
+		}
+		// Rows a full-substitution sweep would visit per diag solve: every
+		// injection node costs one forward plus one backward pass over all
+		// n unknowns of the benchmark circuit.
+		tl, err := tool.New(op.ckt, tool.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowsFull := int64(len(tl.Sys.NodeNames)) * 2 * int64(tl.Sys.NumUnknowns())
+		solves, visited := counters["acstab_ac_diag_solves_total"], counters["acstab_ac_diag_rows_visited_total"]
+		if solves == 0 {
+			t.Fatalf("%s: diag kernel never ran during the benchmark", op.name)
+		}
+		if f := counters["acstab_ac_diag_fallbacks_total"]; f != 0 {
+			t.Errorf("%s: %d diag fallbacks, want 0", op.name, f)
+		}
+		ratio := float64(visited) / (float64(solves) * float64(rowsFull))
+		if !(ratio > 0 && ratio < op.maxRatio) {
+			t.Errorf("%s: rows-visited ratio = %g, want (0, %g): diag extraction regressed", op.name, ratio, op.maxRatio)
+		}
+		stats[op.name] = diagStats{counters, rowsFull, ratio}
+		t.Logf("%s: %d ns/op, rows-visited ratio %.4f", op.name, r.NsPerOp(), ratio)
 	}
 	out := struct {
-		Rows             []benchSummaryRow `json:"rows"`
-		Counters         map[string]int64  `json:"counters"`
-		RowsFullPerSolve int64             `json:"rows_full_per_solve"`
-		RowsVisitedRatio float64           `json:"rows_visited_ratio"`
-	}{rows, counters, rowsFullPerSolve, ratio}
+		Rows  []benchSummaryRow    `json:"rows"`
+		Stats map[string]diagStats `json:"stats"`
+	}{rows, stats}
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -467,7 +479,7 @@ func TestEmitDiagBenchSummary(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %d benchmark rows to %s (rows-visited ratio %.3f)", len(rows), path, ratio)
+	t.Logf("wrote %d benchmark rows to %s", len(rows), path)
 }
 
 // benchACLadder measures a bare AC sweep on an RC ladder (the inner loop
@@ -580,7 +592,12 @@ const benchCoarsePPD = 8
 // coarsePPD > 0 enables the adaptive two-level grid; 0 keeps the dense
 // uniform sweep.
 func benchAllNodesScaling(b *testing.B, loops int, coarsePPD int) {
-	ckt := circuits.ResonatorField(loops, 1e5, 0.35)
+	benchAllNodesOneWorker(b, circuits.ResonatorField(loops, 1e5, 0.35), coarsePPD)
+}
+
+// benchAllNodesOneWorker measures the all-nodes flow on one worker with
+// default options but the coarse grid density.
+func benchAllNodesOneWorker(b *testing.B, ckt *netlist.Circuit, coarsePPD int) {
 	opts := tool.DefaultOptions()
 	opts.Workers = 1
 	opts.CoarsePointsPerDecade = coarsePPD
@@ -837,7 +854,7 @@ func TestEmitNumericsBenchSummary(t *testing.T) {
 		}
 		return cpuTime() - start
 	}
-	chunk(tlOff, 5) // warm caches (symbolic analysis, reach sets, OP)
+	chunk(tlOff, 5) // warm caches (symbolic analysis, selected-inverse schedule, OP)
 	chunk(tlOn, 5)
 	const chunks, itersPerChunk = 9, 20
 	ratios := make([]float64, 0, chunks)
@@ -947,47 +964,19 @@ func TestSeedCircuitAccuracyGate(t *testing.T) {
 	}
 }
 
-// benchAllNodesAdaptiveNoBatch mirrors the adaptive arm with the K-lane
-// frequency batch forced off (serial refactor per frequency), isolating
-// the batched refill's share of the win.
-func benchAllNodesAdaptiveNoBatch(b *testing.B, loops int) {
-	ckt := circuits.ResonatorField(loops, 1e5, 0.35)
-	opts := tool.DefaultOptions()
-	opts.Workers = 1
-	opts.CoarsePointsPerDecade = benchCoarsePPD
-	aopts := analysis.DefaultOptions()
-	aopts.FreqBatch = 1
-	opts.Analysis = &aopts
-	tl, err := tool.New(ckt, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tl.AllNodes(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestEmitGridBenchSummary writes a BENCH_grid.json summary of the
-// adaptive-grid + frequency-batched sweep engine when ACSTAB_BENCH_JSON
-// names an output file. Three rows on the 32-loop resonator field (one
-// worker):
+// adaptive-grid sweep engine when ACSTAB_BENCH_JSON names an output file.
+// Two rows on the 32-loop resonator field (one worker):
 //
-//   - AllNodesScaling32SparseUniform: the dense uniform grid (batched
-//     refactorization still on — it is the analysis default).
+//   - AllNodesScaling32SparseUniform: the dense uniform grid.
 //   - AllNodesScaling32SparseAdaptive: the two-level adaptive grid, the
 //     configuration BenchmarkAllNodesScaling's headline arms run.
-//   - AllNodesScaling32SparseAdaptiveNoBatch: adaptive with the K-lane
-//     batch forced off, so the artifact splits the win between the grid
-//     and the batched refill.
 //
 // A traced (untimed) adaptive run rides along for the acceptance
 // assertions: the points-solved ratio — (node, frequency) pairs the
 // adaptive sweep solved over what the dense grid would have solved — must
-// stay below 0.5, the adaptive run must find the same loop count as the
-// uniform run, and the batched refactor path must actually have engaged.
+// stay below 0.5, and the adaptive run must find the same loop count as
+// the uniform run.
 func TestEmitGridBenchSummary(t *testing.T) {
 	path := os.Getenv("ACSTAB_BENCH_JSON")
 	if path == "" {
@@ -1050,9 +1039,6 @@ func TestEmitGridBenchSummary(t *testing.T) {
 	if ratio >= 0.5 {
 		t.Errorf("points-solved ratio %.3f, want < 0.5: the adaptive grid stopped paying for itself", ratio)
 	}
-	if tr.Counters["ac_batch_lanes"] == 0 {
-		t.Error("batched refactorization never engaged during the adaptive sweep")
-	}
 
 	ops := []struct {
 		name string
@@ -1060,7 +1046,6 @@ func TestEmitGridBenchSummary(t *testing.T) {
 	}{
 		{"AllNodesScaling32SparseUniform", func(b *testing.B) { benchAllNodesScaling(b, 32, 0) }},
 		{"AllNodesScaling32SparseAdaptive", func(b *testing.B) { benchAllNodesScaling(b, 32, benchCoarsePPD) }},
-		{"AllNodesScaling32SparseAdaptiveNoBatch", func(b *testing.B) { benchAllNodesAdaptiveNoBatch(b, 32) }},
 	}
 	var rows []benchSummaryRow
 	results := make([]testing.BenchmarkResult, len(ops))
@@ -1087,8 +1072,6 @@ func TestEmitGridBenchSummary(t *testing.T) {
 		"adaptive_refined_points": tr.Counters["adaptive_refined_points"],
 		"adaptive_solve_pairs":    pairs,
 		"adaptive_dense_pairs":    dense,
-		"ac_batch_blocks":         tr.Counters["ac_batch_blocks"],
-		"ac_batch_lanes":          tr.Counters["ac_batch_lanes"],
 	}
 	out := struct {
 		Rows              []benchSummaryRow `json:"rows"`

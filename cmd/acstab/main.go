@@ -65,7 +65,6 @@ func runWith(args []string, out, errOut io.Writer) error {
 		coarsePPD = fs.Int("coarse-ppd", 0, "adaptive sweep: coarse pass resolution in points per decade (0 = adaptive off, dense uniform grid)")
 		refinePPD = fs.Int("refine-ppd", 0, "adaptive sweep: refinement resolution cap in points per decade (0 = -ppd)")
 		refineThr = fs.Float64("refine-threshold", 0, "adaptive sweep: |P| level that marks an interval resonant (0 = default 0.5)")
-		freqBatch = fs.Int("freq-batch", 0, "frequencies refactored per batched refill block (0 = default 8, 1 = serial)")
 		format    = fs.String("format", "text", "all-nodes output: text, csv, json")
 		annotate  = fs.Bool("annotate", false, "print the annotated netlist instead of the report")
 		plot      = fs.Bool("plot", false, "render ASCII plots (single-node mode)")
@@ -184,12 +183,9 @@ func runWith(args []string, out, errOut io.Writer) error {
 	opts.Workers = *workers
 	opts.Naive = *naive
 	opts.LoopTol = *loopTol
-	if *resTol != 0 || *freqBatch != 0 {
+	if *resTol != 0 {
 		aopts := analysis.DefaultOptions()
-		if *resTol != 0 {
-			aopts.ResidualThreshold = *resTol
-		}
-		aopts.FreqBatch = *freqBatch
+		aopts.ResidualThreshold = *resTol
 		opts.Analysis = &aopts
 	}
 	if *skip != "" {

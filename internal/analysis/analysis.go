@@ -40,19 +40,13 @@ var (
 	mACSymbolicReuses    = obs.GetCounter("acstab_ac_symbolic_reuses_total")
 	mACRefactorFallbacks = obs.GetCounter("acstab_ac_refactor_fallbacks_total")
 	mACPatternDrift      = obs.GetCounter("acstab_ac_pattern_drift_total")
-	// Diagonal-extraction kernel telemetry: batched reach-restricted
-	// Z_kk solves taken, rows those solves actually visited (compare
-	// against 2·n·nodes·solves for the reach-restriction win), and
+	// Diagonal-extraction kernel telemetry: selected-inverse Z_kk solves
+	// taken, Z entries those solves computed (compare against
+	// 2·n·nodes·solves, the rows per-node substitutions would visit), and
 	// frequencies that had to fall back to full per-node substitutions.
 	mACDiagSolves    = obs.GetCounter("acstab_ac_diag_solves_total")
 	mACDiagRows      = obs.GetCounter("acstab_ac_diag_rows_visited_total")
 	mACDiagFallbacks = obs.GetCounter("acstab_ac_diag_fallbacks_total")
-	// Frequency-batched refactorization: blocks refilled through the
-	// K-lane NumericBatch and the frequencies (lanes) those blocks carried.
-	// lanes/blocks is the realized batch width — partial tail blocks and
-	// serial fallbacks pull it below the configured K.
-	mACBatchBlocks = obs.GetCounter("acstab_ac_batch_blocks_total")
-	mACBatchLanes  = obs.GetCounter("acstab_ac_batch_lanes_total")
 	// Numerical-health observatory: per-point scale-relative residuals and
 	// pivot-growth factors land in log-scale histograms (the default obs
 	// buckets are duration-oriented, so these carry explicit decade
@@ -85,14 +79,9 @@ const (
 	defResidualThreshold  = 1e-9
 	defResidualProbeEvery = 16
 	defCondSamples        = 2
-	// defFreqBatch is the default diag-sweep refill block width. Eight
-	// lanes amortize the symbolic index-array streaming (the refill's
-	// memory traffic is dominated by lptr/lsrc/uptr/ucol, read once per
-	// block instead of once per frequency) without outgrowing L2 on the
-	// value arrays; maxFreqBatch caps explicit requests before the SoA
-	// block stops fitting cache and the win inverts.
-	defFreqBatch = 8
-	maxFreqBatch = 32
+	// diagProbeTol is the scale-relative agreement the sampled full-solve
+	// probe demands of the selected-inverse kernel's Z_kk.
+	diagProbeTol = 1e-9
 )
 
 // Options tunes the solvers.
@@ -113,21 +102,15 @@ type Options struct {
 	ResidualThreshold float64
 	// ResidualProbeEvery is the diag-kernel probe stride: every Nth
 	// frequency point of a diagonal-only sweep runs one full solve so its
-	// residual can be measured (the batched kernel produces only Z_kk and
-	// has no full solution vector to verify). 0 selects the default (16);
+	// residual can be measured and its Z_kk cross-checked against the
+	// selected-inverse kernel's (which produces only the diagonal and has
+	// no full solution vector to verify). 0 selects the default (16);
 	// negative disables probing.
 	ResidualProbeEvery int
 	// CondSamples is how many Hager/Higham 1-norm condition estimates to
 	// take per sweep, evenly spaced. 0 selects the default (2); negative
 	// disables condition sampling.
 	CondSamples int
-	// FreqBatch is the number of frequency points whose sparse
-	// refactorizations are refilled together in one pass over the frozen
-	// elimination pattern (diagonal sweeps only). Per lane the batched
-	// refill is bitwise identical to the serial one, so this is a pure
-	// throughput knob. 0 selects the default (8); 1 or any negative value
-	// forces the serial per-frequency path; values above 32 are clamped.
-	FreqBatch int
 }
 
 // DefaultOptions returns the solver defaults documented in DESIGN.md.
@@ -157,11 +140,11 @@ type Sim struct {
 	ac     *acShared
 	acInit sync.Once
 
-	// ws caches this Sim's numeric workspaces (Numeric, Vals, the K-lane
-	// batch) across sweep calls: an adaptive run issues many small
-	// refinement sweeps on the same Sim, and reallocating the lane-strided
-	// batch arrays per call would put megabytes per run back on the
-	// garbage collector. The busy flag hands the workspace to at most one
+	// ws caches this Sim's numeric workspaces (Numeric, Vals, the
+	// selected-inverse Z scratch) across sweep calls: an adaptive run
+	// issues many small refinement sweeps on the same Sim, and
+	// reallocating them per call would put them back on the garbage
+	// collector. The busy flag hands the workspace to at most one
 	// concurrent sweep; others allocate privately. Forks start empty.
 	ws     *acWorkspace
 	wsBusy atomic.Bool
@@ -170,13 +153,10 @@ type Sim struct {
 // acWorkspace is the reusable per-Sim numeric state of the sparse AC
 // path. Everything in it is rebuilt when the symbolic analysis changes.
 type acWorkspace struct {
-	sym   *sparse.Symbolic
-	num   *sparse.Numeric
-	vals  *sparse.Vals
-	nb    *sparse.NumericBatch
-	bvals []*sparse.Vals
-	lane  [][]complex128 // bvals[j].Values(), cached
-	diagB []complex128
+	sym  *sparse.Symbolic
+	num  *sparse.Numeric
+	vals *sparse.Vals
+	z    []complex128 // selected-inverse scratch, built on first diag sweep
 }
 
 // acquireWorkspace hands out the Sim's cached workspace for one sweep
@@ -220,71 +200,45 @@ func (s *Sim) acShared() *acShared {
 }
 
 // acShared holds the per-system symbolic state of the two-phase sparse AC
-// solver: the frozen stamp pattern and the pivot-order/fill analysis. One
-// instance is shared by all workers of a sweep; the mutex only guards the
-// build-once handoff, after which both pointers are immutable.
+// solver: the frozen stamp pattern, the pivot-order/fill analysis, and the
+// selected-inverse gather schedule derived from it. One instance is shared
+// by all workers of a sweep; the mutex only guards the build-once
+// handoffs, after which the pointers are immutable.
 type acShared struct {
 	mu  sync.Mutex
 	pat *sparse.Pattern
 	sym *sparse.Symbolic
 
-	// Cached diagonal-extraction plans: the reach sets depend only on the
-	// symbolic analysis and the injection node list, so one build serves
-	// every worker and every frequency of an all-nodes sweep. The cache
-	// holds several entries because an adaptive sweep alternates between
-	// the full node list (coarse pass) and per-group subsets (refinement
-	// rounds); diagSym records which symbolic the plans were derived from
-	// (a drift-triggered rebuild must not reuse stale plans).
-	diagSym   *sparse.Symbolic
-	diagPlans []diagPlanEntry
+	// selInv is the selected-inverse schedule of selSym. It depends only
+	// on the symbolic analysis, so one build serves every worker, every
+	// node subset and every frequency; selSym guards against a
+	// drift-triggered rebuild reusing a stale schedule.
+	selSym *sparse.Symbolic
+	selInv *sparse.SelInv
 }
-
-// diagPlanEntry is one cached (node list -> reach plan) binding.
-type diagPlanEntry struct {
-	nodes []int
-	plan  *sparse.DiagPlan
-}
-
-// maxDiagPlans bounds the plan cache; an adaptive run cycles through at
-// most a few dozen distinct refinement groups, so evictions are rare.
-const maxDiagPlans = 64
 
 // invalidate drops the cached analysis after pattern drift so the next
 // sweep rebuilds from the current stamp structure.
 func (sh *acShared) invalidate() {
 	sh.mu.Lock()
 	sh.pat, sh.sym = nil, nil
-	sh.diagSym, sh.diagPlans = nil, nil
+	sh.selSym, sh.selInv = nil, nil
 	sh.mu.Unlock()
 }
 
-// ensureDiagPlan returns the shared reach-set plan for the given symbolic
-// analysis and injection nodes, building it on first use. Workers forked
-// from one Sim hit the cache; a different node list or a rebuilt symbolic
-// replaces it.
-func (sh *acShared) ensureDiagPlan(sym *sparse.Symbolic, nodes []int) (*sparse.DiagPlan, error) {
+// ensureSelInv returns the shared selected-inverse schedule of sym,
+// building it on first use.
+func (sh *acShared) ensureSelInv(sym *sparse.Symbolic) (*sparse.SelInv, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.diagSym != sym {
-		sh.diagSym, sh.diagPlans = sym, sh.diagPlans[:0]
-	}
-	for i := range sh.diagPlans {
-		if equalInts(sh.diagPlans[i].nodes, nodes) {
-			return sh.diagPlans[i].plan, nil
+	if sh.selSym != sym {
+		si, err := sym.SelInv()
+		if err != nil {
+			return nil, err
 		}
+		sh.selSym, sh.selInv = sym, si
 	}
-	plan, err := sym.DiagPlan(nodes)
-	if err != nil {
-		return nil, err
-	}
-	if len(sh.diagPlans) >= maxDiagPlans {
-		sh.diagPlans = sh.diagPlans[:0]
-	}
-	sh.diagPlans = append(sh.diagPlans, diagPlanEntry{
-		nodes: append([]int(nil), nodes...),
-		plan:  plan,
-	})
-	return plan, nil
+	return sh.selInv, nil
 }
 
 // ACChecksum returns the structural checksum of the cached AC stamp
@@ -304,18 +258,6 @@ func (s *Sim) ACChecksum() (uint64, bool) {
 	return sh.pat.Checksum(), true
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ensureSymbolic returns the shared pattern and symbolic analysis,
 // building them on first use from one stamped frequency point (omega, op
 // supply the numeric values the pivot-order search runs on).
@@ -328,9 +270,7 @@ func (s *Sim) ensureSymbolic(omega float64, op *mna.OpPoint) (*sparse.Pattern, *
 		s.Trace.Add("ac_symbolic_reuses", 1)
 		return sh.pat, sh.sym, nil
 	}
-	rec := sparse.NewRecorder(s.Sys.NumUnknowns())
-	s.Sys.StampAC(rec, nil, omega, op)
-	pat := rec.Compile()
+	pat := s.recordAC(omega, op)
 	vals := pat.NewVals()
 	vals.Begin()
 	s.Sys.StampAC(vals, nil, omega, op)
@@ -350,6 +290,17 @@ func (s *Sim) ensureSymbolic(omega float64, op *mna.OpPoint) (*sparse.Pattern, *
 	s.Trace.Add("ac_symbolic_builds", 1)
 	s.Trace.Add("ac_factorizations", 1)
 	return pat, sym, nil
+}
+
+// recordAC records the AC stamp pattern at omega. Every node unknown gets
+// a structural diagonal (sparse.Recorder.CloseDiagonal) so its
+// driving-point impedance is on the selected inverse's filled pattern;
+// branch unknowns are never probed and stay as stamped.
+func (s *Sim) recordAC(omega float64, op *mna.OpPoint) *sparse.Pattern {
+	rec := sparse.NewRecorder(s.Sys.NumUnknowns())
+	rec.CloseDiagonal(s.Sys.NumNodes())
+	s.Sys.StampAC(rec, nil, omega, op)
+	return rec.Compile()
 }
 
 // errNondeterministicStamp reports two back-to-back stamping passes of
@@ -608,24 +559,16 @@ type acFactorizer struct {
 	vals *sparse.Vals
 
 	// curPat/curVals are the pattern and stamped CSR values the current
-	// point's factorization was built from (fz.vals for the serial path,
-	// one batch lane for extracted probes, a per-point pattern on the
-	// fresh path) — the residual, the condition estimator and a re-pivot
-	// must read the matrix that was actually factored.
+	// point's factorization was built from (fz.vals on the refactor path,
+	// a per-point pattern on the fresh path) — the residual, the condition
+	// estimator and a re-pivot must read the matrix that was actually
+	// factored.
 	curPat  *sparse.Pattern
 	curVals []complex128
 
-	// Frequency-batched refill state (ImpedanceDiagSweep only), built by
-	// ensureBatch: the K-lane numeric workspace, one stamped Vals per lane
-	// with its value slice cached, and the lane-strided diagonal output.
-	nb    *sparse.NumericBatch
-	bvals []*sparse.Vals
-	lane  [][]complex128
-	diagB []complex128
-
-	// ws is the Sim-cached workspace backing num/vals/nb when this sweep
-	// won the CAS handoff; flush releases it. Nil when another sweep held
-	// it and this factorizer allocated privately.
+	// ws is the Sim-cached workspace backing num/vals when this sweep won
+	// the CAS handoff; flush releases it. Nil when another sweep held it
+	// and this factorizer allocated privately.
 	ws *acWorkspace
 
 	// Numerical-health observatory state (per sweep). resThreshold <= 0
@@ -658,17 +601,12 @@ type acFactorizer struct {
 	condMax    float64
 	health     []obs.SlowPoint
 
-	// Diagonal-kernel tallies (ImpedanceDiagSweep only): batched
-	// SolveDiagInto calls, rows those calls visited, and frequencies
-	// bounced to full per-node substitutions.
+	// Diagonal-kernel tallies (ImpedanceDiagSweep only): selected-inverse
+	// solves, Z entries those solves computed, and frequencies bounced to
+	// full per-node substitutions.
 	diagSolves    int64
 	diagRows      int64
 	diagFallbacks int64
-
-	// Frequency-batch tallies: refill blocks executed and lanes they
-	// carried (lanes/blocks = achieved mean batch width).
-	batchBlocks int64
-	batchLanes  int64
 
 	// kind names the solver path the most recent at() call took, the
 	// slow-point context tag: "refactor" (pivot-free numeric refill),
@@ -686,9 +624,12 @@ const (
 	solveKindRefactorFallback = "refactor_fallback"
 	solveKindPatternDrift     = "pattern_drift"
 	// solveKindDiag tags frequency points whose Z_kk values came from the
-	// reach-restricted batched diagonal kernel rather than full
-	// substitutions.
+	// selected-inverse diagonal kernel rather than full substitutions.
 	solveKindDiag = "diag"
+	// solveKindDiagMismatch tags points where the sampled full-solve probe
+	// disagreed with the kernel's Z_kk and the point was recomputed with
+	// full substitutions.
+	solveKindDiagMismatch = "diag_mismatch"
 	// solveKindResidualEscalation tags points where a residual breach
 	// escalated past in-place refinement to a fresh pivot search.
 	solveKindResidualEscalation = "residual_escalation"
@@ -801,9 +742,7 @@ func (fz *acFactorizer) repivot() (*sparse.Numeric, error) {
 // with no frozen symbolic analysis, after pattern drift or a failed build.
 func (fz *acFactorizer) fresh(omega float64, b []complex128) (*sparse.Numeric, error) {
 	s := fz.s
-	rec := sparse.NewRecorder(s.Sys.NumUnknowns())
-	s.Sys.StampAC(rec, nil, omega, fz.op)
-	pat := rec.Compile()
+	pat := s.recordAC(omega, fz.op)
 	vals := pat.NewVals()
 	vals.Begin()
 	s.Sys.StampAC(vals, b, omega, fz.op)
@@ -929,36 +868,22 @@ func (fz *acFactorizer) observeResidual(eta, freqHz float64) {
 	}
 }
 
-// condSampleDue reports whether sweep point k of n is one of the
-// condSamples evenly spaced condition-estimate sites and budget remains.
-// Split from condSampleAt so the batched sweep can decide *before* paying
-// for a lane extraction.
-func (fz *acFactorizer) condSampleDue(k, n int) bool {
-	if fz.condBudget <= 0 || fz.condSamples <= 0 {
-		return false
+// condSampleAt takes one Hager/Higham 1-norm condition estimate when k is
+// one of condSamples evenly spaced points of an n-point sweep and budget
+// remains. Estimates need the refactor-path factorization (the CSR values
+// feed ‖A‖₁ and the conjugate-transpose solve walks the frozen fill
+// pattern).
+func (fz *acFactorizer) condSampleAt(k, n int) {
+	if fz.kind != solveKindRefactor || fz.num == nil || fz.condBudget <= 0 || fz.condSamples <= 0 {
+		return
 	}
 	stride := n / fz.condSamples
 	if stride < 1 {
 		stride = 1
 	}
-	return k%stride == 0
-}
-
-// condSampleAt takes one Hager/Higham 1-norm condition estimate when k is
-// one of condSamples evenly spaced points of an n-point sweep. Estimates
-// need the refactor-path factorization (the CSR values feed ‖A‖₁ and the
-// conjugate-transpose solve walks the frozen fill pattern).
-func (fz *acFactorizer) condSampleAt(k, n int) {
-	if fz.kind != solveKindRefactor || fz.num == nil || !fz.condSampleDue(k, n) {
+	if k%stride != 0 {
 		return
 	}
-	fz.condSample()
-}
-
-// condSample runs one estimate against the current refactor-path
-// factorization (fz.num over fz.curVals); callers have already gated on
-// condSampleDue and the solver path.
-func (fz *acFactorizer) condSample() {
 	fz.condBudget--
 	if fz.cv == nil {
 		nn := fz.s.Sys.NumUnknowns()
@@ -1053,12 +978,6 @@ func (fz *acFactorizer) flush() {
 		fz.s.Trace.Add("ac_diag_rows_visited", fz.diagRows)
 		fz.s.Trace.Add("ac_diag_fallbacks", fz.diagFallbacks)
 	}
-	if fz.batchBlocks != 0 {
-		mACBatchBlocks.Add(fz.batchBlocks)
-		mACBatchLanes.Add(fz.batchLanes)
-		fz.s.Trace.Add("ac_batch_blocks", fz.batchBlocks)
-		fz.s.Trace.Add("ac_batch_lanes", fz.batchLanes)
-	}
 	if fz.resHist != nil {
 		fz.resHist.Flush()
 		fz.growthHist.Flush()
@@ -1086,7 +1005,6 @@ func (fz *acFactorizer) flush() {
 	}
 	fz.fulls, fz.refactors, fz.solves = 0, 0, 0
 	fz.diagSolves, fz.diagRows, fz.diagFallbacks = 0, 0, 0
-	fz.batchBlocks, fz.batchLanes = 0, 0
 	if fz.ws != nil {
 		fz.ws = nil
 		fz.s.releaseWorkspace()
@@ -1240,16 +1158,20 @@ func (fz *acFactorizer) solveColumns(slv *sparse.Numeric, f float64, k int, node
 	return nil
 }
 
-// probeDiag is the sampled residual probe of the diagonal kernel, which
-// produces only the Z_kk values and so has no full solution to verify:
-// every probeEvery-th frequency runs one full solve for the first node on
-// the refactor-path factorization num and verifies it. The kernel and the
-// full solve perform bitwise-identical arithmetic on the shared
-// factorization (both skip zero multipliers), so overwriting the kernel's
-// value with the probe's is exact, not a perturbation. When the ladder
-// escalates to a fresh pivot search, the kernel's values for this
-// frequency came from the degraded factorization, so the whole point is
-// redone with full substitutions on the new one.
+// probeDiag is the sampled differential check of the diagonal kernel,
+// which produces only the Z_kk values and so has no full solution to
+// verify: every probeEvery-th frequency runs one full solve for the first
+// node on the refactor-path factorization num and verifies its residual.
+// A verified, unrepaired probe must agree with the kernel's Z_kk to
+// diagProbeTol relative to the solution scale ‖x‖∞ (ℓ1 moduli); the
+// kernel's value is kept, so results do not depend on where the probes
+// fall. The probe's value replaces the kernel's only when verify refined
+// it. When the ladder escalates to a fresh pivot search, the kernel's
+// values for this frequency came from the degraded factorization, so the
+// whole point is redone with full substitutions on the new one; a
+// disagreement counts as a residual breach and the point is likewise
+// redone with full substitutions, on the factorization the probe just
+// verified.
 func (fz *acFactorizer) probeDiag(num *sparse.Numeric, f float64, k int, nodeIdx []int, out [][]complex128, b, x []complex128) error {
 	idx0 := nodeIdx[0]
 	b[idx0] = 1
@@ -1258,14 +1180,23 @@ func (fz *acFactorizer) probeDiag(num *sparse.Numeric, f float64, k int, nodeIdx
 		b[idx0] = 0
 		return fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
 	}
+	refines := fz.refines
 	slv, err := fz.verify(num, f, x, b)
 	b[idx0] = 0
 	if err != nil {
 		return err
 	}
-	out[0][k] = x[idx0]
-	if slv == num {
+	switch {
+	case slv != num:
+		// Escalated: redo the point on the fresh factorization below.
+	case fz.refines != refines:
+		out[0][k] = x[idx0]
 		return nil
+	case cabs1(out[0][k]-x[idx0]) <= diagProbeTol*infNorm1(x):
+		return nil
+	default:
+		fz.breaches++
+		fz.kind = solveKindDiagMismatch
 	}
 	fz.diagFallbacks++
 	for i, idx := range nodeIdx {
@@ -1280,187 +1211,60 @@ func (fz *acFactorizer) probeDiag(num *sparse.Numeric, f float64, k int, nodeIdx
 	return nil
 }
 
-// freqBatchK resolves the Options.FreqBatch knob to the effective diag
-// sweep refill block width.
-func (s *Sim) freqBatchK() int {
-	k := s.Opt.FreqBatch
-	switch {
-	case k == 0:
-		return defFreqBatch
-	case k <= 1:
-		return 1
-	case k > maxFreqBatch:
-		return maxFreqBatch
-	}
-	return k
+// cabs1 is the ℓ1 modulus |re(z)| + |im(z)|, within √2 of |z| and free
+// of the Hypot call.
+func cabs1(z complex128) float64 {
+	return math.Abs(real(z)) + math.Abs(imag(z))
 }
 
-// ensureBatch sizes the K-lane refill workspace for a diagonal sweep over
-// `nodes` injection nodes, reusing the Sim-cached arrays when this sweep
-// holds the workspace. The reuse matters for adaptive runs: they issue
-// dozens of short refinement sweeps per analysis, and rebuilding K Vals
-// plus the lane-strided factor block on every one would spend more time
-// in the allocator than in the solver.
-func (fz *acFactorizer) ensureBatch(K, nodes int) {
+// infNorm1 returns max_i cabs1(x_i).
+func infNorm1(x []complex128) float64 {
+	m := 0.0
+	for _, v := range x {
+		if a := cabs1(v); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+// selInv returns the shared selected-inverse schedule and this sweep's Z
+// scratch for a diagonal sweep over nodeIdx, reusing the Sim-cached
+// scratch when this sweep holds the workspace. It returns a nil schedule
+// when there is no frozen analysis or some node's diagonal is off the
+// filled pattern; the sweep then runs full per-node substitutions.
+func (fz *acFactorizer) selInv(nodeIdx []int) (*sparse.SelInv, []complex128, error) {
+	if fz.sym == nil {
+		return nil, nil, nil
+	}
+	si, err := fz.s.acShared().ensureSelInv(fz.sym)
+	if err != nil || !si.Covers(nodeIdx) {
+		return nil, nil, err
+	}
 	if ws := fz.ws; ws != nil {
-		fz.nb, fz.bvals, fz.lane, fz.diagB = ws.nb, ws.bvals, ws.lane, ws.diagB
-		defer func() {
-			ws.nb, ws.bvals, ws.lane, ws.diagB = fz.nb, fz.bvals, fz.lane, fz.diagB
-		}()
+		if int64(len(ws.z)) != si.Entries() {
+			ws.z = si.NewZ()
+		}
+		return si, ws.z, nil
 	}
-	if fz.nb == nil || fz.nb.K() < K {
-		fz.nb = fz.sym.NewNumericBatch(K)
-	}
-	for len(fz.bvals) < K {
-		v := fz.pat.NewVals()
-		fz.bvals = append(fz.bvals, v)
-		fz.lane = append(fz.lane, v.Values())
-	}
-	if need := nodes * fz.nb.K(); cap(fz.diagB) < need {
-		fz.diagB = make([]complex128, need)
-	} else {
-		fz.diagB = fz.diagB[:need]
-	}
-}
-
-// diagBatchSweep is the frequency-batched stage of ImpedanceDiagSweep: it
-// processes freqs in K-lane blocks — stamp K matrices, refill all K
-// factorizations in one pass over the frozen symbolic index arrays, run
-// the K-wide reach-restricted diagonal kernel — and fills out[...][k] for
-// every frequency it completes. Per lane the arithmetic is bitwise
-// identical to the serial path, so results, probes, and the repair ladder
-// are unchanged; only the memory-access schedule differs. It returns the
-// index of the first unprocessed frequency: len(freqs) normally, or the
-// block where pattern drift invalidated the symbolic analysis, in which
-// case the caller's serial loop finishes the sweep from there.
-func (fz *acFactorizer) diagBatchSweep(ctx context.Context, freqs []float64, op *mna.OpPoint, nodeIdx []int, out [][]complex128, plan *sparse.DiagPlan, slow *slowTracker, K int, b, x []complex128) (int, error) {
-	s := fz.s
-	fz.ensureBatch(K, len(nodeIdx))
-	nb := fz.nb
-	KB := nb.K()
-	var kinds [maxFreqBatch]string
-	for base := 0; base < len(freqs); base += K {
-		if err := acerr.Ctx(ctx); err != nil {
-			return base, err
-		}
-		m := len(freqs) - base
-		if m > K {
-			m = K
-		}
-		var t0 time.Time
-		if slow != nil {
-			t0 = time.Now()
-		}
-		// Stamp the block's lanes. Drift on any lane means the stamp
-		// structure no longer matches the frozen pattern: invalidate and
-		// hand the rest of the sweep (from this block's first frequency)
-		// to the serial loop, which records per-point patterns.
-		for j := 0; j < m; j++ {
-			v := fz.bvals[j]
-			v.Begin()
-			s.Sys.StampAC(v, nil, 2*math.Pi*freqs[base+j], op)
-			if v.Drift() {
-				mACPatternDrift.Inc()
-				s.Trace.Add("ac_pattern_drift", 1)
-				s.acShared().invalidate()
-				fz.sym = nil
-				fz.kind = solveKindPatternDrift
-				return base, nil
-			}
-		}
-		if err := nb.Refactor(fz.lane[:m]); err != nil {
-			return base, fmt.Errorf("analysis: impedance batch at %g Hz: %w", freqs[base], err)
-		}
-		fz.batchBlocks++
-		fz.batchLanes += int64(m)
-		if err := nb.SolveDiagLanesInto(fz.diagB, plan); err != nil {
-			return base, fmt.Errorf("analysis: impedance batch at %g Hz: %w", freqs[base], err)
-		}
-		for j := 0; j < m; j++ {
-			k := base + j
-			f := freqs[k]
-			fz.curPat, fz.curVals = fz.pat, fz.lane[j]
-			if !nb.LaneOK(j) {
-				// Collapsed pivot under the frozen order: re-pivot this one
-				// frequency's lane values, exactly like the serial refactor
-				// fallback, and run the full per-node substitutions.
-				mACRefactorFallbacks.Inc()
-				s.Trace.Add("ac_refactor_fallbacks", 1)
-				fz.kind = solveKindRefactorFallback
-				slv, err := fz.repivot()
-				if err != nil {
-					return k, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
-				}
-				fz.diagFallbacks++
-				if err := fz.solveColumns(slv, f, k, nodeIdx, out, b, x); err != nil {
-					return k, err
-				}
-				kinds[j] = fz.kind
-				continue
-			}
-			for i := range nodeIdx {
-				out[i][k] = fz.diagB[i*KB+j]
-			}
-			fz.refactors++
-			fz.diagSolves++
-			fz.diagRows += plan.RowsPerSolve()
-			kinds[j] = solveKindDiag
-			if fz.resThreshold > 0 {
-				fz.observeGrowth(nb.LaneGrowth(j))
-			}
-			// Sampled residual probe and condition estimates both need this
-			// lane's factors in serial layout; one extraction serves both.
-			probe := fz.resThreshold > 0 && fz.probeEvery > 0 && k%fz.probeEvery == 0
-			cond := fz.condSampleDue(k, len(freqs))
-			if probe || cond {
-				if err := nb.ExtractLane(fz.num, j); err != nil {
-					return k, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
-				}
-				fz.kind = solveKindRefactor
-				if probe {
-					if err := fz.probeDiag(fz.num, f, k, nodeIdx, out, b, x); err != nil {
-						return k, err
-					}
-					if fz.kind != solveKindRefactor {
-						kinds[j] = fz.kind
-					}
-				}
-				if cond && fz.kind == solveKindRefactor {
-					fz.condSample()
-				}
-			}
-			fz.solves += int64(len(nodeIdx))
-		}
-		if slow != nil {
-			per := time.Since(t0) / time.Duration(m)
-			for j := 0; j < m; j++ {
-				slow.note(freqs[base+j], per, kinds[j])
-			}
-		}
-	}
-	return len(freqs), nil
+	return si, si.NewZ(), nil
 }
 
 // ImpedanceDiagSweep computes only the driving-point diagonal
 // Z_kk(ω) = (A⁻¹)_{kk} for the requested nodes, returning
 // Z[nodeIdxInList][freq] with the same shape ImpedanceMatrixColumns
-// produces. On the refactor path it uses the reach-restricted batched
-// diagonal kernel: the per-node forward solve only walks the injection
-// step's reach set in the L elimination DAG and the backward solve
-// terminates as soon as component k is determined, so each frequency
-// costs O(Σ|reach(k)|) rows instead of N full substitutions. The reach
-// sets are computed once per sweep (cached on the Sim-shared symbolic
-// state, so forked workers build them once) and the steady-state loop
-// body is allocation-free. Frequencies are processed in K-lane blocks
-// (Options.FreqBatch): one pass over the frozen symbolic index arrays
-// refills K factorizations at once, cutting the refill's dominant memory
-// traffic — the index-array streaming — by the batch width while keeping
-// each lane's arithmetic bitwise identical to a serial refill.
-// Frequencies that leave the refactor path — a collapsed pivot re-pivoted
-// at that point, or pattern drift invalidating the symbolic analysis
-// mid-sweep — fall back to full per-node SolveInto for that point and
-// count against acstab_ac_diag_fallbacks_total. Callers that need
-// off-diagonal entries (loop-gain extraction) must keep using
+// produces. On the refactor path it runs the selected-inverse kernel
+// (sparse.SelInv): one backward sweep over the elimination steps computes
+// the inverse on the filled pattern of (L+U)ᵀ, which holds every
+// diagonal, so each frequency costs O(fill) instead of one full
+// substitution per node. The gather schedule is built once per symbolic
+// analysis (cached on the Sim-shared state, so forked workers and every
+// node subset share it) and the steady-state loop body is
+// allocation-free. Frequencies that leave the refactor path — a collapsed
+// pivot re-pivoted at that point, or pattern drift invalidating the
+// symbolic analysis mid-sweep — fall back to full per-node SolveInto for
+// that point and count against acstab_ac_diag_fallbacks_total. Callers
+// that need off-diagonal entries (loop-gain extraction) must keep using
 // ImpedanceMatrixColumns.
 func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.OpPoint, nodeIdx []int) ([][]complex128, error) {
 	n := s.Sys.NumUnknowns()
@@ -1477,29 +1281,14 @@ func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.O
 	defer fz.flush()
 	slow := newSlowTracker(s.Trace)
 	defer slow.flush(s.Trace)
-	var plan *sparse.DiagPlan
-	if fz.sym != nil {
-		p, err := s.acShared().ensureDiagPlan(fz.sym, nodeIdx)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: diag sweep plan: %w", err)
-		}
-		plan = p
+	si, z, err := fz.selInv(nodeIdx)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: diag sweep plan: %w", err)
 	}
 	diag := make([]complex128, len(nodeIdx))
 	b := make([]complex128, n)
 	x := make([]complex128, n)
-	start := 0
-	if plan != nil {
-		if K := s.freqBatchK(); K > 1 {
-			k0, err := fz.diagBatchSweep(ctx, freqs, op, nodeIdx, out, plan, slow, K, b, x)
-			if err != nil {
-				return nil, err
-			}
-			start = k0
-		}
-	}
-	for k := start; k < len(freqs); k++ {
-		f := freqs[k]
+	for k, f := range freqs {
 		if err := acerr.Ctx(ctx); err != nil {
 			return nil, err
 		}
@@ -1512,17 +1301,17 @@ func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.O
 			return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
 		}
 		kind := fz.kind
-		if kind == solveKindRefactor && plan != nil {
-			// Refactor succeeded under the frozen pivot order, so the plan's
-			// reach sets describe exactly this factorization.
-			if err := slv.SolveDiagInto(diag, plan); err != nil {
+		if kind == solveKindRefactor && si != nil {
+			// Refactor succeeded under the frozen pivot order, so the
+			// schedule describes exactly this factorization.
+			if err := slv.DiagInverseInto(diag, nodeIdx, si, z); err != nil {
 				return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
 			}
 			for i := range nodeIdx {
 				out[i][k] = diag[i]
 			}
 			fz.diagSolves++
-			fz.diagRows += plan.RowsPerSolve()
+			fz.diagRows += si.Entries()
 			kind = solveKindDiag
 			if fz.resThreshold > 0 && fz.probeEvery > 0 && k%fz.probeEvery == 0 {
 				if err := fz.probeDiag(slv, f, k, nodeIdx, out, b, x); err != nil {
@@ -1536,8 +1325,8 @@ func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.O
 			fz.solves += int64(len(nodeIdx))
 		} else {
 			// Re-pivoted point (collapsed pivot, drift, or no frozen
-			// analysis): its pivot order is its own, so the frozen reach
-			// sets do not apply — run the full per-node substitutions.
+			// analysis): its pivot order is its own, so the frozen schedule
+			// does not apply — run the full per-node substitutions.
 			fz.diagFallbacks++
 			if err := fz.solveColumns(slv, f, k, nodeIdx, out, b, x); err != nil {
 				return nil, err

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"acstab/internal/circuits"
 	"acstab/internal/netlist"
 	"acstab/internal/obs"
 	"acstab/internal/sparse"
@@ -22,10 +23,10 @@ func allNodeIdx(s *Sim) []int {
 }
 
 // TestImpedanceDiagSweepProperty: on randomized RC/RLC ladders the
-// reach-restricted diagonal kernel, the full shared-factorization sweep,
+// selected-inverse diagonal kernel, the full shared-factorization sweep,
 // and the dense oracle must agree on every Z_kk to 1e-9 scale-relative
 // across a multi-decade sweep; the kernel counters must show the diag path
-// actually ran with zero fallbacks.
+// actually ran with zero fallbacks and zero probe disagreements.
 func TestImpedanceDiagSweepProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	freqs := sweepFreqs(30)
@@ -40,10 +41,13 @@ func TestImpedanceDiagSweepProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		solves0, falls0 := mACDiagSolves.Value(), mACDiagFallbacks.Value()
+		solves0, falls0, breach0 := mACDiagSolves.Value(), mACDiagFallbacks.Value(), mACResidualBreaches.Value()
 		zg, err := s.ImpedanceDiagSweep(context.Background(), freqs, op, idx)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if d := mACResidualBreaches.Value() - breach0; d != 0 {
+			t.Errorf("trial %d: %d residual breaches (probe disagreements), want 0", trial, d)
 		}
 		if d := mACDiagSolves.Value() - solves0; d != int64(len(freqs)) {
 			t.Errorf("trial %d: diag solves delta = %d, want %d", trial, d, len(freqs))
@@ -84,7 +88,7 @@ func installSymbolic(s *Sim, pat *sparse.Pattern, sym *sparse.Symbolic) {
 	sh := s.acShared()
 	sh.mu.Lock()
 	sh.pat, sh.sym = pat, sym
-	sh.diagSym, sh.diagPlans = nil, nil
+	sh.selSym, sh.selInv = nil, nil
 	sh.mu.Unlock()
 }
 
@@ -168,7 +172,7 @@ func TestImpedanceDiagPatternDrift(t *testing.T) {
 }
 
 // TestImpedanceDiagSweepSteadyStateAllocs: after the symbolic analysis and
-// reach plan exist, the per-frequency loop of the diag sweep must not
+// selected-inverse schedule exist, the per-frequency loop of the diag sweep must not
 // allocate — growing the sweep 8x may not add allocations beyond a small
 // fixed slack (result rows grow in size, not count).
 func TestImpedanceDiagSweepSteadyStateAllocs(t *testing.T) {
@@ -230,4 +234,142 @@ func TestImpedanceDiagTrace(t *testing.T) {
 			t.Errorf("slow[%d] solver path = %q, want %q", i, p.Detail, solveKindDiag)
 		}
 	}
+}
+
+// TestImpedanceDiagStructuralClosure: node "a" is touched only by a
+// voltage source and an inductor, so its MNA row has no stamped diagonal.
+// The pattern's structural-diagonal closure still puts (A⁻¹)_aa on the
+// filled pattern: every point runs the kernel, none falls back, and the
+// values match the dense oracle.
+func TestImpedanceDiagStructuralClosure(t *testing.T) {
+	c := netlist.NewCircuit("vsource-inductor node")
+	c.AddV("V1", "a", "0", netlist.SourceSpec{ACMag: 1})
+	c.AddL("L1", "a", "b", 1e-6)
+	c.AddR("R1", "b", "0", 50)
+	c.AddC("C1", "b", "0", 1e-9)
+	s := compile(t, c)
+	op := mustOP(t, s)
+	freqs := sweepFreqs(16)
+	idx := allNodeIdx(s)
+	solves0, falls0 := mACDiagSolves.Value(), mACDiagFallbacks.Value()
+	zg, err := s.ImpedanceDiagSweep(context.Background(), freqs, op, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := mACDiagFallbacks.Value() - falls0; d != 0 {
+		t.Errorf("diag fallbacks delta = %d, want 0", d)
+	}
+	if d := mACDiagSolves.Value() - solves0; d != int64(len(freqs)) {
+		t.Errorf("diag solves delta = %d, want %d", d, len(freqs))
+	}
+	checkImpedances(t, "closure", freqs, denseZ(t, s.Sys, freqs, op, idx), zg)
+}
+
+// TestImpedanceDiagSeedCircuits: every seed circuit, VCCS/CCCS-bearing
+// transistor small-signal models included, runs its all-nodes diagonal
+// sweep entirely on the kernel — zero fallbacks, zero probe disagreements
+// — and agrees with the dense oracle.
+func TestImpedanceDiagSeedCircuits(t *testing.T) {
+	seeds := []struct {
+		name string
+		ckt  *netlist.Circuit
+	}{
+		{"second-order", circuits.SecondOrder(0.35, 1e6)},
+		{"opamp-buffer", circuits.OpAmpBuffer(circuits.OpAmpDefaults())},
+		{"bias", circuits.BiasCircuit(circuits.BiasDefaults())},
+		{"full", circuits.FullCircuit()},
+		{"transistor-opamp", circuits.TransistorOpAmp()},
+		{"transistor-bias", circuits.TransistorBias()},
+		{"rc-ladder-40", circuits.RCLadder(40)},
+		{"resonator-field-8", circuits.ResonatorField(8, 1e5, 0.35)},
+	}
+	freqs := sweepFreqs(25)
+	for _, sc := range seeds {
+		t.Run(sc.name, func(t *testing.T) {
+			s := compile(t, sc.ckt)
+			op := mustOP(t, s)
+			idx := allNodeIdx(s)
+			falls0, breach0 := mACDiagFallbacks.Value(), mACResidualBreaches.Value()
+			zg, err := s.ImpedanceDiagSweep(context.Background(), freqs, op, idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := mACDiagFallbacks.Value() - falls0; d != 0 {
+				t.Errorf("diag fallbacks delta = %d, want 0", d)
+			}
+			if d := mACResidualBreaches.Value() - breach0; d != 0 {
+				t.Errorf("residual breaches delta = %d, want 0", d)
+			}
+			checkImpedances(t, sc.name, freqs, denseZ(t, s.Sys, freqs, op, idx), zg)
+		})
+	}
+}
+
+// TestImpedanceDiagProbeOracle drives the sampled probe directly. A
+// kernel value within tolerance of the verified full solve is kept as is
+// (the probe does not overwrite it, so results do not depend on where
+// probes fall); a value that disagrees counts as a residual breach and
+// the point is recomputed with full substitutions.
+func TestImpedanceDiagProbeOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := compile(t, randomLadder(rng, 12))
+	op := mustOP(t, s)
+	idx := allNodeIdx(s)
+	const f = 1e5
+	want := denseZ(t, s.Sys, []float64{f}, op, idx)
+	n := s.Sys.NumUnknowns()
+	b := make([]complex128, n)
+	x := make([]complex128, n)
+
+	probe := func(out [][]complex128) *acFactorizer {
+		fz := s.newACFactorizer(2*math.Pi*f, op)
+		defer fz.flush()
+		slv, err := fz.at(2*math.Pi*f, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fz.probeDiag(slv, f, 0, idx, out, b, x); err != nil {
+			t.Fatal(err)
+		}
+		return fz
+	}
+	column := func(perturb complex128) [][]complex128 {
+		out := make([][]complex128, len(idx))
+		for i := range out {
+			out[i] = []complex128{want[i][0]}
+		}
+		out[0][0] += perturb
+		return out
+	}
+
+	// Node 0 is pinned by the source, so Z_00 is ~0 and the probe's scale
+	// is the unit branch current of ‖x‖∞: perturbations are absolute.
+	// Agreement: the kernel's (slightly perturbed) value survives.
+	out := column(1e-13)
+	kept := out[0][0]
+	breach0 := mACResidualBreaches.Value()
+	if fz := probe(out); fz.kind != solveKindRefactor {
+		t.Errorf("agreeing probe changed the solver path to %q", fz.kind)
+	}
+	if out[0][0] != kept {
+		t.Errorf("agreeing probe overwrote the kernel value: %v -> %v", kept, out[0][0])
+	}
+	if d := mACResidualBreaches.Value() - breach0; d != 0 {
+		t.Errorf("agreeing probe counted %d breaches", d)
+	}
+
+	// Disagreement: breach counted, the point redone with full solves.
+	out = column(1e-3)
+	out[len(out)-1][0] = 0 // another node's value must be recomputed too
+	breach0, falls0 := mACResidualBreaches.Value(), mACDiagFallbacks.Value()
+	if fz := probe(out); fz.kind != solveKindDiagMismatch {
+		t.Errorf("disagreeing probe left solver path %q, want %q", fz.kind, solveKindDiagMismatch)
+	}
+	if d := mACResidualBreaches.Value() - breach0; d != 1 {
+		t.Errorf("disagreeing probe counted %d breaches, want 1", d)
+	}
+	if d := mACDiagFallbacks.Value() - falls0; d != 1 {
+		t.Errorf("disagreeing probe counted %d diag fallbacks, want 1", d)
+	}
+	checkImpedances(t, "repaired point", []float64{f}, want, out)
 }

@@ -76,7 +76,10 @@ func TestACSlowPointCapture(t *testing.T) {
 	}
 }
 
-// TestImpedanceSlowPointCapture covers the shared-factorization loop.
+// TestImpedanceSlowPointCapture covers the shared-factorization loop and
+// the diagonal sweep. Every diag-sweep point is timed on its own, so the
+// slowest points carry their own wall times instead of one block time
+// shared by every frequency refilled together.
 func TestImpedanceSlowPointCapture(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	s := compile(t, randomLadder(rng, 30))
@@ -90,5 +93,35 @@ func TestImpedanceSlowPointCapture(t *testing.T) {
 	tr := run.Trace()
 	if len(tr.SlowPoints) == 0 || len(tr.SlowPoints) > obs.MaxSlowPoints+obs.MaxHealthPoints {
 		t.Fatalf("slow points = %d, want 1..%d", len(tr.SlowPoints), obs.MaxSlowPoints+obs.MaxHealthPoints)
+	}
+
+	run = obs.StartRun("slow-diag")
+	s.Trace = run
+	if _, err := s.ImpedanceDiagSweep(context.Background(), sweepFreqs(40), op, allNodeIdx(s)); err != nil {
+		t.Fatal(err)
+	}
+	run.Finish()
+	walls := map[int64]bool{}
+	freqs := map[float64]bool{}
+	n := 0
+	for _, p := range run.Trace().SlowPoints {
+		if p.Detail == "residual" {
+			continue
+		}
+		n++
+		walls[p.WallNS] = true
+		freqs[p.FreqHz] = true
+	}
+	if n != obs.MaxSlowPoints {
+		t.Fatalf("diag sweep kept %d wall slow points, want %d", n, obs.MaxSlowPoints)
+	}
+	if len(freqs) != n {
+		t.Errorf("slow points repeat a frequency: %d distinct of %d", len(freqs), n)
+	}
+	// Clock ties between two separately timed points are possible but
+	// rare; a shared per-block duration would collapse the set to one or
+	// two values.
+	if len(walls) <= n/2 {
+		t.Errorf("slowest diag points carry %d distinct wall times of %d, want per-point durations", len(walls), n)
 	}
 }

@@ -60,7 +60,8 @@ func (p *Pattern) N() int { return p.n }
 // compiled-system cache validates entries against.
 func (p *Pattern) Checksum() uint64 { return p.sig }
 
-// NNZ returns the number of distinct structural positions.
+// NNZ returns the number of distinct structural positions, closure
+// diagonals (Recorder.CloseDiagonal) included.
 func (p *Pattern) NNZ() int { return len(p.col) }
 
 // SlotOf returns the value-array slot of structural position (i, j), or -1
@@ -85,10 +86,27 @@ func (p *Pattern) SlotOf(i, j int) int {
 type Recorder struct {
 	n     int
 	calls []int64 // i*n + j per Add call, in call order
+	close int     // unknowns 0..close-1 get a structural diagonal
 }
 
 // NewRecorder returns a Recorder for an n-by-n system.
 func NewRecorder(n int) *Recorder { return &Recorder{n: n} }
+
+// CloseDiagonal makes Compile give each of the unknowns 0..m-1 a
+// structural diagonal slot even when no call stamps it (an MNA node
+// touched only by a voltage source and an inductor): (A⁻¹)_jj lies on the
+// filled pattern only when A_jj is structurally present, and the
+// selected-inverse kernel reads it there. The closure slots are never
+// stamped, so they hold exact zeros and leave the call stream and its
+// checksum unchanged. Close only the unknowns whose inverse diagonal is
+// wanted: a closure slot on a voltage-source branch row seeds structural
+// fill along the whole chain behind it and can move the pivot order.
+func (r *Recorder) CloseDiagonal(m int) {
+	if m > r.n {
+		m = r.n
+	}
+	r.close = m
+}
 
 // Add records the position of one stamp call.
 func (r *Recorder) Add(i, j int, v complex128) {
@@ -99,8 +117,12 @@ func (r *Recorder) Add(i, j int, v complex128) {
 func (r *Recorder) Compile() *Pattern {
 	n := r.n
 	p := &Pattern{n: n, seq: make([]int32, len(r.calls)), sig: fnvOffset}
-	// Dedup positions and sort them row-major for the CSR layout.
-	keys := append([]int64(nil), r.calls...)
+	// Dedup positions and sort them row-major for the CSR layout, closure
+	// diagonals (CloseDiagonal) included.
+	keys := append(make([]int64, 0, len(r.calls)+r.close), r.calls...)
+	for i := 0; i < r.close; i++ {
+		keys = append(keys, int64(i)*int64(n)+int64(i))
+	}
 	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
 	uniq := keys[:0]
 	for i, k := range keys {

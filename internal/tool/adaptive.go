@@ -14,9 +14,9 @@ package tool
 // per-node independent — depends only on the node itself. Each round, all
 // nodes that want more resolution are swept together over the union of
 // their wanted frequencies, so every new frequency is stamped and
-// refactored once per round (K lanes at a time underneath) and the fixed
-// per-sweep cost — reach-plan construction, workspace setup — is paid per
-// round, not per distinct want-list. A node may get solved at a few
+// refactored once per round and the fixed per-sweep cost — workspace
+// setup, the first sweep's selected-inverse schedule — is paid per round,
+// not per distinct want-list. A node may get solved at a few
 // frequencies it did not ask for; those values are dropped, which is safe
 // because solutions are per-(node, frequency) independent.
 
@@ -254,9 +254,8 @@ func (t *Tool) adaptiveColumns(ctx context.Context, op *mna.OpPoint, idx []int) 
 // solveRound sweeps one refinement round: all refining nodes over the
 // union frequency list, chunked across the worker pool by node the same
 // way the dense sweep is, then each node's wanted subset merged into its
-// arrays. One sweep per worker-chunk means the reach plan and the K-lane
-// batch workspace are built once per round per worker, not once per
-// distinct want-list.
+// arrays. One sweep per worker-chunk means the numeric workspace is built
+// once per round per worker, not once per distinct want-list.
 func (t *Tool) solveRound(ctx context.Context, op *mna.OpPoint, idx []int, refiners []refiner, union []float64, grids []nodeGrid) error {
 	solve := func(sim *analysis.Sim, chunk []refiner) error {
 		nodes := make([]int, len(chunk))

@@ -2,8 +2,8 @@ package tool
 
 // Compiled is the immutable, shareable half of a Tool: the flattened
 // circuit, the compiled MNA system, the solver's shared symbolic state
-// (stamp pattern, pivot order, reach-set plans), and the cached DC
-// operating point. It is what the farm worker's content-addressed cache
+// (stamp pattern, pivot order, selected-inverse schedule), and the cached
+// DC operating point. It is what the farm worker's content-addressed cache
 // stores — production traffic re-submits near-identical netlists
 // (corners, Monte Carlo samples, small edits), and everything in here
 // depends only on the netlist text and the design-variable overrides, so
@@ -36,8 +36,9 @@ type Compiled struct {
 	Sys *mna.System
 
 	// base owns the shared AC symbolic cache; every Tool built from this
-	// artifact forks it, so the pattern analysis and reach-set plans are
-	// computed once and reused read-only across requests and workers.
+	// artifact forks it, so the pattern analysis and selected-inverse
+	// schedule are computed once and reused read-only across requests and
+	// workers.
 	base *analysis.Sim
 
 	// op is the cached DC operating point, built on first use. opErr

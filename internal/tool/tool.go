@@ -220,9 +220,10 @@ func (t *Tool) SingleNode(ctx context.Context, node string) (*NodeResult, error)
 	mSingleNodeRuns.Inc()
 	if t.adaptive() {
 		// The adaptive engine produces the same driving-point values the
-		// full-column sweep would (the diag kernel is bitwise-identical to
-		// full substitutions on the shared factorization), on a per-node
-		// grid focused around this node's resonances.
+		// full-column sweep would (the diag kernel agrees with full
+		// substitutions on the shared factorization to 1e-9, and sampled
+		// probes cross-check it), on a per-node grid focused around this
+		// node's resonances.
 		perNode, cols, aerr := t.adaptiveColumns(ctx, op, []int{idx})
 		if aerr != nil {
 			return nil, aerr
@@ -486,9 +487,9 @@ func (t *Tool) parallelColumns(ctx context.Context, freqs []float64, op *mna.OpP
 			// Each worker needs its own Sim wrapper: the impedance sweep
 			// owns per-sweep numeric workspaces, and the shared System is
 			// read-only during AC stamping. Fork shares the symbolic
-			// analysis cache — and with it the diag-kernel reach sets — so
-			// the pivot order, fill pattern, and plan are computed once and
-			// reused read-only by every worker. The trace is shared:
+			// analysis cache — and with it the selected-inverse schedule —
+			// so the pivot order, fill pattern, and schedule are computed
+			// once and reused read-only by every worker. The trace is shared:
 			// obs.Run is concurrency-safe. Only driving-point entries are
 			// consumed here, so the diagonal sweep applies.
 			sim := t.Sim.Fork()
