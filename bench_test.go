@@ -333,7 +333,6 @@ func TestEmitSparseBenchSummary(t *testing.T) {
 		"acstab_ac_symbolic_builds_total",
 		"acstab_ac_symbolic_reuses_total",
 		"acstab_ac_refactor_fallbacks_total",
-		"acstab_ac_pattern_drift_total",
 	}
 	before := make(map[string]int64, len(counterNames))
 	for _, n := range counterNames {

@@ -39,7 +39,6 @@ var (
 	mACSymbolicBuilds    = obs.GetCounter("acstab_ac_symbolic_builds_total")
 	mACSymbolicReuses    = obs.GetCounter("acstab_ac_symbolic_reuses_total")
 	mACRefactorFallbacks = obs.GetCounter("acstab_ac_refactor_fallbacks_total")
-	mACPatternDrift      = obs.GetCounter("acstab_ac_pattern_drift_total")
 	// Diagonal-extraction kernel telemetry: selected-inverse Z_kk solves
 	// taken, Z entries those solves computed (compare against
 	// 2·n·nodes·solves, the rows per-node substitutions would visit), and
@@ -134,14 +133,15 @@ type Sim struct {
 	// the process-wide obs registry.
 	Trace *obs.Run
 
-	// ac caches the AC matrix's stamp pattern and symbolic factorization
-	// analysis, which depend only on the compiled system's structure and
-	// so are computed once per Sim and shared read-only by every Fork.
+	// ac caches the AC matrix's stamp pattern, symbolic factorization
+	// analysis and pencil, which depend only on the compiled system and
+	// the operating point and so are computed once per Sim and operating
+	// point and shared read-only by every Fork.
 	ac     *acShared
 	acInit sync.Once
 
-	// ws caches this Sim's numeric workspaces (Numeric, Vals, the
-	// selected-inverse Z scratch) across sweep calls: an adaptive run
+	// ws caches this Sim's numeric workspaces (Numeric, the value array,
+	// the selected-inverse Z scratch) across sweep calls: an adaptive run
 	// issues many small refinement sweeps on the same Sim, and
 	// reallocating them per call would put them back on the garbage
 	// collector. The busy flag hands the workspace to at most one
@@ -155,7 +155,7 @@ type Sim struct {
 type acWorkspace struct {
 	sym  *sparse.Symbolic
 	num  *sparse.Numeric
-	vals *sparse.Vals
+	vals []complex128 // A(ω) over the pattern's slots, refilled per point
 	z    []complex128 // selected-inverse scratch, built on first diag sweep
 }
 
@@ -167,7 +167,7 @@ func (s *Sim) acquireWorkspace(pat *sparse.Pattern, sym *sparse.Symbolic) *acWor
 		return nil
 	}
 	if s.ws == nil || s.ws.sym != sym {
-		s.ws = &acWorkspace{sym: sym, num: sym.NewNumeric(), vals: pat.NewVals()}
+		s.ws = &acWorkspace{sym: sym, num: sym.NewNumeric(), vals: make([]complex128, pat.NNZ())}
 	}
 	return s.ws
 }
@@ -199,31 +199,76 @@ func (s *Sim) acShared() *acShared {
 	return s.ac
 }
 
-// acShared holds the per-system symbolic state of the two-phase sparse AC
-// solver: the frozen stamp pattern, the pivot-order/fill analysis, and the
-// selected-inverse gather schedule derived from it. One instance is shared
-// by all workers of a sweep; the mutex only guards the build-once
-// handoffs, after which the pointers are immutable.
+// acShared holds the per-system state of the two-phase sparse AC solver:
+// the frozen stamp pattern, the pivot-order/fill analysis, the
+// selected-inverse gather schedule derived from it, and the pencil of the
+// operating point last swept. One instance is shared by all workers of a
+// sweep; the mutex guards the pointers, and what they point to is
+// immutable once built.
 type acShared struct {
 	mu  sync.Mutex
 	pat *sparse.Pattern
 	sym *sparse.Symbolic
 
+	// pen is the pencil of pen.op over pat. Sweeps of one Sim share their
+	// operating point, so one entry serves them all.
+	pen *acPencil
+
 	// selInv is the selected-inverse schedule of selSym. It depends only
 	// on the symbolic analysis, so one build serves every worker, every
-	// node subset and every frequency; selSym guards against a
-	// drift-triggered rebuild reusing a stale schedule.
+	// node subset and every frequency; selSym guards against a rebuilt
+	// analysis reusing a stale schedule.
 	selSym *sparse.Symbolic
 	selInv *sparse.SelInv
 }
 
-// invalidate drops the cached analysis after pattern drift so the next
-// sweep rebuilds from the current stamp structure.
-func (sh *acShared) invalidate() {
+// acPencil is the frequency-independent assembly of the AC system at one
+// operating point: A(ω) = G + jωC over the shared pattern, and the
+// circuit's own AC excitation, which does not depend on ω.
+type acPencil struct {
+	op *mna.OpPoint
+	pc *sparse.Pencil
+	b  []complex128
+}
+
+// pencilFor returns the pencil of op, building it on first use; the
+// caller holds sh.mu. StampAC is affine in ω — every frequency-dependent
+// term is jω times a real capacitance or inductance — so one pass at
+// ω = 1 yields G = Re and C = Im. That pass is also the stream check: op
+// can change the call stream (Linearize swaps a MOSFET's drain and source
+// when vds < 0), and a stream that does not match the shared pattern
+// replaces it and drops the analysis built on it. Every node unknown gets
+// a structural diagonal (sparse.Recorder.CloseDiagonal) so its
+// driving-point impedance is on the selected inverse's filled pattern;
+// branch unknowns are never probed and stay as stamped.
+func (sh *acShared) pencilFor(sys *mna.System, op *mna.OpPoint) *acPencil {
+	if sh.pen != nil && sh.pen.op == op {
+		return sh.pen
+	}
+	n := sys.NumUnknowns()
+	rec := sparse.NewRecorder(n)
+	rec.CloseDiagonal(sys.NumNodes())
+	b := make([]complex128, n)
+	sys.StampAC(rec, b, 1, op)
+	var pc *sparse.Pencil
+	if sh.pat != nil {
+		pc = sh.pat.Pencil(rec)
+	}
+	if pc == nil {
+		sh.pat = rec.Compile()
+		sh.sym, sh.selSym, sh.selInv = nil, nil, nil
+		pc = sh.pat.Pencil(rec)
+	}
+	sh.pen = &acPencil{op: op, pc: pc, b: b}
+	return sh.pen
+}
+
+// pencil returns the shared pencil of op.
+func (s *Sim) pencil(op *mna.OpPoint) *acPencil {
+	sh := s.acShared()
 	sh.mu.Lock()
-	sh.pat, sh.sym = nil, nil
-	sh.selSym, sh.selInv = nil, nil
-	sh.mu.Unlock()
+	defer sh.mu.Unlock()
+	return sh.pencilFor(s.Sys, op)
 }
 
 // ensureSelInv returns the shared selected-inverse schedule of sym,
@@ -243,11 +288,10 @@ func (sh *acShared) ensureSelInv(sym *sparse.Symbolic) (*sparse.SelInv, error) {
 
 // ACChecksum returns the structural checksum of the cached AC stamp
 // pattern and whether the symbolic analysis is currently warm. It reports
-// (0, false) before the first sparse sweep builds the symbolic state and
-// again after pattern drift invalidates it. The farm's compiled-system
-// cache compares this fingerprint across requests: a warm entry whose
-// checksum moved is not the circuit it was cached as and must be
-// recompiled from source.
+// (0, false) until a sweep builds the symbolic state. The farm's
+// compiled-system cache compares this fingerprint across requests: a warm
+// entry whose checksum moved is not the circuit it was cached as and must
+// be recompiled from source.
 func (s *Sim) ACChecksum() (uint64, bool) {
 	sh := s.acShared()
 	sh.mu.Lock()
@@ -258,72 +302,40 @@ func (s *Sim) ACChecksum() (uint64, bool) {
 	return sh.pat.Checksum(), true
 }
 
-// ensureSymbolic returns the shared pattern and symbolic analysis,
-// building them on first use from one stamped frequency point (omega, op
-// supply the numeric values the pivot-order search runs on).
-func (s *Sim) ensureSymbolic(omega float64, op *mna.OpPoint) (*sparse.Pattern, *sparse.Symbolic, error) {
+// acState returns the shared pencil of op and the symbolic analysis over
+// its pattern, building what is missing in one locked section; built
+// reports whether this call ran the symbolic analysis. The pivot-order
+// search runs on the pencil filled at omega. A failed analysis leaves sym
+// nil: the sweep then re-pivots every point and reports its own errors,
+// and the next sweep retries.
+func (s *Sim) acState(omega float64, op *mna.OpPoint) (pen *acPencil, sym *sparse.Symbolic, built bool) {
 	sh := s.acShared()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.sym != nil {
-		mACSymbolicReuses.Inc()
-		s.Trace.Add("ac_symbolic_reuses", 1)
-		return sh.pat, sh.sym, nil
+	pen = sh.pencilFor(s.Sys, op)
+	if sh.sym == nil {
+		vals := make([]complex128, sh.pat.NNZ())
+		pen.pc.FillInto(vals, omega)
+		if sym, err := sh.pat.Analyze(vals); err == nil {
+			sh.sym, built = sym, true
+			mACSymbolicBuilds.Inc()
+			mACFactorizations.Inc() // the analysis pass is a full factorization
+			s.Trace.Add("ac_symbolic_builds", 1)
+			s.Trace.Add("ac_factorizations", 1)
+		}
 	}
-	pat := s.recordAC(omega, op)
-	vals := pat.NewVals()
-	vals.Begin()
-	s.Sys.StampAC(vals, nil, omega, op)
-	if vals.Drift() {
-		// Two back-to-back stamps disagreeing structurally means the
-		// stamping is not deterministic; the two-phase path cannot be used.
-		mACPatternDrift.Inc()
-		return nil, nil, errNondeterministicStamp
-	}
-	sym, err := pat.Analyze(vals.Values())
-	if err != nil {
-		return nil, nil, err
-	}
-	sh.pat, sh.sym = pat, sym
-	mACSymbolicBuilds.Inc()
-	mACFactorizations.Inc() // the analysis pass is a full factorization
-	s.Trace.Add("ac_symbolic_builds", 1)
-	s.Trace.Add("ac_factorizations", 1)
-	return pat, sym, nil
+	return pen, sh.sym, built
 }
 
-// recordAC records the AC stamp pattern at omega. Every node unknown gets
-// a structural diagonal (sparse.Recorder.CloseDiagonal) so its
-// driving-point impedance is on the selected inverse's filled pattern;
-// branch unknowns are never probed and stay as stamped.
-func (s *Sim) recordAC(omega float64, op *mna.OpPoint) *sparse.Pattern {
-	rec := sparse.NewRecorder(s.Sys.NumUnknowns())
-	rec.CloseDiagonal(s.Sys.NumNodes())
-	s.Sys.StampAC(rec, nil, omega, op)
-	return rec.Compile()
-}
-
-// errNondeterministicStamp reports two back-to-back stamping passes of
-// one frequency point that disagree structurally.
-var errNondeterministicStamp = fmt.Errorf("analysis: non-deterministic AC stamp pattern")
-
-// PrepareAC builds the shared symbolic analysis from the AC matrix
-// stamped at omega unless one is already cached. The pivot order is
-// chosen on the values of the frequency it is analyzed at, so a caller
-// that splits one frequency grid across forked workers calls PrepareAC
-// with the grid's first frequency before forking: otherwise whichever
-// worker starts first analyzes at its own chunk's first frequency, and the
-// last bits of every result would depend on goroutine scheduling.
+// PrepareAC builds the shared pencil of op and the symbolic analysis at
+// omega unless they are already cached. The pivot order is chosen on the
+// values of the frequency it is analyzed at, so a caller that splits one
+// frequency grid across forked workers calls PrepareAC with the grid's
+// first frequency before forking: otherwise whichever worker starts first
+// analyzes at its own chunk's first frequency, and the last bits of every
+// result would depend on goroutine scheduling.
 func (s *Sim) PrepareAC(omega float64, op *mna.OpPoint) {
-	sh := s.acShared()
-	sh.mu.Lock()
-	built := sh.sym != nil
-	sh.mu.Unlock()
-	if !built {
-		// A failed build is not fatal here: each sweep retries it and
-		// degrades to per-point pivot searches, reporting its own errors.
-		_, _, _ = s.ensureSymbolic(omega, op)
-	}
+	s.acState(omega, op)
 }
 
 // ErrNoConvergence is returned when every DC homotopy fails. It is the
@@ -537,34 +549,26 @@ func (r *ACResult) BranchWave(elem string) (*wave.Wave, error) {
 }
 
 // acFactorizer produces a ready-to-solve sparse factorization of the AC
-// system at each frequency of a sweep. It reuses the Sim-shared symbolic
-// analysis and owns the per-worker numeric workspaces, so the
-// steady-state factorize+solve cycle is pivot-free, map-free, and
-// allocation-free. The guards re-pivot instead: a collapsed pivot under
-// the frozen order re-runs the pivot search on the values already
-// stamped into the CSR (Pattern.Repivot), and pattern drift records a
-// fresh pattern for the point. Counter deltas accumulate locally and are
-// published by flush (deferred by the callers), keeping atomics off the
-// inner loop.
+// system at each frequency of a sweep. It reuses the Sim-shared pencil
+// and symbolic analysis and owns the per-worker numeric workspaces, so
+// the steady-state fill+factorize+solve cycle is pivot-free, map-free,
+// and allocation-free. A collapsed pivot under the frozen order re-runs
+// the pivot search on the same filled values (Pattern.Repivot). Counter
+// deltas accumulate locally and are published by flush (deferred by the
+// callers), keeping atomics off the inner loop.
 type acFactorizer struct {
-	s  *Sim
-	op *mna.OpPoint
+	s *Sim
 
-	// Frozen two-phase state: the Sim-shared pattern and symbolic
-	// analysis (sym is nil once drift invalidated it, or when the build
-	// failed) and this sweep's numeric workspace over them.
+	// The sweep's snapshot of the Sim-shared state — the pencil, its
+	// pattern and the symbolic analysis over it (nil when the build
+	// failed) — kept for the whole sweep, and this sweep's numeric
+	// workspace over them. vals holds the current point's A(ω), which the
+	// residual, the condition estimator and a re-pivot all read.
+	pen  *acPencil
 	pat  *sparse.Pattern
 	sym  *sparse.Symbolic
 	num  *sparse.Numeric
-	vals *sparse.Vals
-
-	// curPat/curVals are the pattern and stamped CSR values the current
-	// point's factorization was built from (fz.vals on the refactor path,
-	// a per-point pattern on the fresh path) — the residual, the condition
-	// estimator and a re-pivot must read the matrix that was actually
-	// factored.
-	curPat  *sparse.Pattern
-	curVals []complex128
+	vals []complex128
 
 	// ws is the Sim-cached workspace backing num/vals when this sweep won
 	// the CAS handoff; flush releases it. Nil when another sweep held it
@@ -610,10 +614,9 @@ type acFactorizer struct {
 
 	// kind names the solver path the most recent at() call took, the
 	// slow-point context tag: "refactor" (pivot-free numeric refill),
-	// "full" (no frozen analysis: the point's pattern is recorded and
-	// pivoted afresh), "refactor_fallback" (the refill hit a collapsed
-	// pivot and this point was re-pivoted), or "pattern_drift" (the
-	// frozen pattern was invalidated mid-sweep).
+	// "full" (no frozen analysis: the point is pivoted afresh), or
+	// "refactor_fallback" (the refill hit a collapsed pivot and this point
+	// was re-pivoted).
 	kind string
 }
 
@@ -622,7 +625,6 @@ const (
 	solveKindRefactor         = "refactor"
 	solveKindFull             = "full"
 	solveKindRefactorFallback = "refactor_fallback"
-	solveKindPatternDrift     = "pattern_drift"
 	// solveKindDiag tags frequency points whose Z_kk values came from the
 	// selected-inverse diagonal kernel rather than full substitutions.
 	solveKindDiag = "diag"
@@ -636,10 +638,10 @@ const (
 )
 
 // newACFactorizer prepares the per-sweep solver state. A failed symbolic
-// build is not fatal: the sweep degrades to one fresh pattern and pivot
-// search per frequency and each point reports its own error.
+// build is not fatal: the sweep degrades to one pivot search per
+// frequency and each point reports its own error.
 func (s *Sim) newACFactorizer(omega0 float64, op *mna.OpPoint) *acFactorizer {
-	fz := &acFactorizer{s: s, op: op}
+	fz := &acFactorizer{s: s}
 	switch {
 	case s.Opt.ResidualThreshold > 0:
 		fz.resThreshold = s.Opt.ResidualThreshold
@@ -664,43 +666,35 @@ func (s *Sim) newACFactorizer(omega0 float64, op *mna.OpPoint) *acFactorizer {
 		fz.resHist = mACResidual.Local()
 		fz.growthHist = mACPivotGrowth.Local()
 	}
-	if pat, sym, err := s.ensureSymbolic(omega0, op); err == nil {
-		fz.pat, fz.sym = pat, sym
-		if ws := s.acquireWorkspace(pat, sym); ws != nil {
-			fz.ws = ws
-			fz.num, fz.vals = ws.num, ws.vals
-		} else {
-			fz.num = sym.NewNumeric()
-			fz.vals = pat.NewVals()
-		}
+	pen, sym, built := s.acState(omega0, op)
+	fz.pen, fz.pat, fz.sym = pen, pen.pc.Pattern(), sym
+	switch {
+	case sym == nil:
+		fz.vals = make([]complex128, fz.pat.NNZ())
+		return fz
+	case !built:
+		mACSymbolicReuses.Inc()
+		s.Trace.Add("ac_symbolic_reuses", 1)
+	}
+	if ws := s.acquireWorkspace(fz.pat, sym); ws != nil {
+		fz.ws = ws
+		fz.num, fz.vals = ws.num, ws.vals
+	} else {
+		fz.num, fz.vals = sym.NewNumeric(), make([]complex128, fz.pat.NNZ())
 	}
 	return fz
 }
 
-// at stamps and factors the AC system at omega, returning a factorization
-// valid until the next call. When b is non-nil it is stamped with the RHS
-// excitation; the caller must pass it zeroed.
-func (fz *acFactorizer) at(omega float64, b []complex128) (*sparse.Numeric, error) {
+// at fills and factors the AC system at omega, returning a factorization
+// valid until the next call.
+func (fz *acFactorizer) at(omega float64) (*sparse.Numeric, error) {
 	s := fz.s
+	fz.pen.pc.FillInto(fz.vals, omega)
 	if fz.sym == nil {
 		fz.kind = solveKindFull
-		return fz.fresh(omega, b)
+		return fz.repivot()
 	}
-	fz.vals.Begin()
-	s.Sys.StampAC(fz.vals, b, omega, fz.op)
-	if fz.vals.Drift() {
-		// The stamp structure changed under the cached pattern: drop the
-		// cache for future sweeps and run out this one on per-point
-		// patterns. b is stamped directly, so it is already valid.
-		mACPatternDrift.Inc()
-		s.Trace.Add("ac_pattern_drift", 1)
-		s.acShared().invalidate()
-		fz.sym = nil
-		fz.kind = solveKindPatternDrift
-		return fz.fresh(omega, nil)
-	}
-	fz.curPat, fz.curVals = fz.pat, fz.vals.Values()
-	if err := fz.num.Refactor(fz.curVals); err != nil {
+	if err := fz.num.Refactor(fz.vals); err != nil {
 		// Collapsed pivot under the frozen order; re-pivot this single
 		// frequency's values.
 		mACRefactorFallbacks.Inc()
@@ -724,33 +718,17 @@ func (fz *acFactorizer) observeGrowth(g float64) {
 	}
 }
 
-// repivot factors the current point's stamped values (curPat, curVals)
-// with a fresh pivot search — the path taken when the frozen order
-// collapses at this frequency and when the residual ladder escalates
+// repivot factors the current point's values with a fresh pivot search —
+// the path taken when there is no frozen analysis, when the frozen order
+// collapses at this frequency, and when the residual ladder escalates
 // past refinement.
 func (fz *acFactorizer) repivot() (*sparse.Numeric, error) {
-	nm, err := fz.curPat.Repivot(fz.curVals)
+	nm, err := fz.pat.Repivot(fz.vals)
 	if err != nil {
 		return nil, err
 	}
 	fz.fulls++
 	return nm, nil
-}
-
-// fresh records the stamp pattern of this one frequency point, stamps its
-// values (and b, when non-nil) and re-pivots them: the path for points
-// with no frozen symbolic analysis, after pattern drift or a failed build.
-func (fz *acFactorizer) fresh(omega float64, b []complex128) (*sparse.Numeric, error) {
-	s := fz.s
-	pat := s.recordAC(omega, fz.op)
-	vals := pat.NewVals()
-	vals.Begin()
-	s.Sys.StampAC(vals, b, omega, fz.op)
-	if vals.Drift() {
-		return nil, errNondeterministicStamp
-	}
-	fz.curPat, fz.curVals = pat, vals.Values()
-	return fz.repivot()
 }
 
 // pointResidual computes the scale-relative backward error of the solve
@@ -762,7 +740,7 @@ func (fz *acFactorizer) pointResidual(x, b []complex128) (float64, error) {
 		fz.r = make([]complex128, n)
 		fz.d = make([]complex128, n)
 	}
-	return fz.curPat.ResidualInf(fz.curVals, x, b, fz.r)
+	return fz.pat.ResidualInf(fz.vals, x, b, fz.r)
 }
 
 // refine applies one step of iterative refinement to x on slv, using the
@@ -782,7 +760,7 @@ func (fz *acFactorizer) refine(slv *sparse.Numeric, x, b []complex128, eta float
 // representative solve of the current frequency point: slv·x = b with b
 // still holding the right-hand side it was solved against. On a breach it
 // (1) refines x once reusing the existing factorization, (2) escalates to
-// a fresh pivot search on the same stamped values plus one more
+// a fresh pivot search on the same values plus one more
 // refinement (refactor path only), and (3) reports an error wrapping
 // acerr.ErrAccuracy if even that leaves the residual above threshold. The
 // returned solver is the one that produced the final x; callers reuse it
@@ -890,7 +868,7 @@ func (fz *acFactorizer) condSampleAt(k, n int) {
 		fz.cv = make([]complex128, nn)
 		fz.cz = make([]complex128, nn)
 	}
-	est, err := fz.num.CondEst1(fz.curVals, fz.cv, fz.cz)
+	est, err := fz.num.CondEst1(fz.vals, fz.cv, fz.cz)
 	if err != nil || est <= 0 {
 		return
 	}
@@ -1034,8 +1012,9 @@ func (s *Sim) ACResponse(ctx context.Context, freqs []float64, op *mna.OpPoint, 
 	return s.acSweep(ctx, freqs, op, rhs)
 }
 
-// acSweep is the shared loop of AC and ACResponse: a nil rhs stamps the
-// circuit's AC sources as the excitation at every frequency.
+// acSweep is the shared loop of AC and ACResponse: a nil rhs takes the
+// circuit's own AC sources, recorded once with the pencil, as the
+// excitation.
 func (s *Sim) acSweep(ctx context.Context, freqs []float64, op *mna.OpPoint, rhs []complex128) ([][]complex128, error) {
 	n := s.Sys.NumUnknowns()
 	sol := make([][]complex128, len(freqs))
@@ -1046,23 +1025,19 @@ func (s *Sim) acSweep(ctx context.Context, freqs []float64, op *mna.OpPoint, rhs
 	defer fz.flush()
 	slow := newSlowTracker(s.Trace)
 	defer slow.flush(s.Trace)
-	b, stampB := rhs, []complex128(nil)
-	if rhs == nil {
-		b = make([]complex128, n)
-		stampB = b
+	b := rhs
+	if b == nil {
+		b = fz.pen.b
 	}
 	for k, f := range freqs {
 		if err := acerr.Ctx(ctx); err != nil {
 			return nil, err
 		}
-		for i := range stampB {
-			stampB[i] = 0
-		}
 		var t0 time.Time
 		if slow != nil {
 			t0 = time.Now()
 		}
-		slv, err := fz.at(2*math.Pi*f, stampB)
+		slv, err := fz.at(2 * math.Pi * f)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: AC at %g Hz: %w", f, err)
 		}
@@ -1117,7 +1092,7 @@ func (s *Sim) ImpedanceMatrixColumns(ctx context.Context, freqs []float64, op *m
 		if slow != nil {
 			t0 = time.Now()
 		}
-		slv, err := fz.at(2*math.Pi*f, nil)
+		slv, err := fz.at(2 * math.Pi * f)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
 		}
@@ -1259,11 +1234,12 @@ func (fz *acFactorizer) selInv(nodeIdx []int) (*sparse.SelInv, []complex128, err
 // diagonal, so each frequency costs O(fill) instead of one full
 // substitution per node. The gather schedule is built once per symbolic
 // analysis (cached on the Sim-shared state, so forked workers and every
-// node subset share it) and the steady-state loop body is
-// allocation-free. Frequencies that leave the refactor path — a collapsed
-// pivot re-pivoted at that point, or pattern drift invalidating the
-// symbolic analysis mid-sweep — fall back to full per-node SolveInto for
-// that point and count against acstab_ac_diag_fallbacks_total. Callers
+// node subset share it). Each frequency's matrix is one fill of the
+// operating point's G + jωC pencil, so the steady-state loop body neither
+// restamps nor allocates. Frequencies that leave the refactor path — a collapsed
+// pivot re-pivoted at that point, or a sweep whose symbolic analysis
+// failed to build — fall back to full per-node SolveInto for that point
+// and count against acstab_ac_diag_fallbacks_total. Callers
 // that need off-diagonal entries (loop-gain extraction) must keep using
 // ImpedanceMatrixColumns.
 func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.OpPoint, nodeIdx []int) ([][]complex128, error) {
@@ -1296,7 +1272,7 @@ func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.O
 		if slow != nil {
 			t0 = time.Now()
 		}
-		slv, err := fz.at(2*math.Pi*f, nil)
+		slv, err := fz.at(2 * math.Pi * f)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
 		}
@@ -1324,8 +1300,8 @@ func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.O
 			fz.condSampleAt(k, len(freqs))
 			fz.solves += int64(len(nodeIdx))
 		} else {
-			// Re-pivoted point (collapsed pivot, drift, or no frozen
-			// analysis): its pivot order is its own, so the frozen schedule
+			// Re-pivoted point (collapsed pivot or no frozen analysis): its
+			// pivot order is its own, so the frozen schedule
 			// does not apply — run the full per-node substitutions.
 			fz.diagFallbacks++
 			if err := fz.solveColumns(slv, f, k, nodeIdx, out, b, x); err != nil {

@@ -38,16 +38,7 @@ type Pole struct {
 // The dense reduction is O(n³): appropriate for the circuit sizes of this
 // repository's workloads (hundreds of unknowns).
 func (s *Sim) Poles(ctx context.Context, op *mna.OpPoint, minHz, maxHz float64) ([]Pole, error) {
-	n := s.Sys.NumUnknowns()
-	// Recover G and C from the AC stamp: A(ω) = G + jωC is linear in ω.
-	g := linalg.NewCMatrix(n)
-	s.Sys.StampAC(g, nil, 0, op)
-	a1 := linalg.NewCMatrix(n)
-	s.Sys.StampAC(a1, nil, 1, op)
-	c := linalg.NewCMatrix(n)
-	for i := range c.Data {
-		c.Data[i] = (a1.Data[i] - g.Data[i]) / complex(0, 1)
-	}
+	g, c := s.denseGC(op)
 
 	// Shift: real positive, away from LHP poles, scaled to the band.
 	sigma := 2 * math.Pi * math.Sqrt(math.Max(minHz, 1)*math.Max(maxHz, 1))
@@ -82,6 +73,18 @@ func (s *Sim) Poles(ctx context.Context, op *mna.OpPoint, minHz, maxHz float64) 
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].FreqHz < out[b].FreqHz })
 	return out, nil
+}
+
+// denseGC scatters the pencil of op, A(ω) = G + jωC, into dense G and C
+// matrices.
+func (s *Sim) denseGC(op *mna.OpPoint) (g, c *linalg.CMatrix) {
+	n := s.Sys.NumUnknowns()
+	g, c = linalg.NewCMatrix(n), linalg.NewCMatrix(n)
+	s.pencil(op).pc.Each(func(i, j int, gv, cv float64) {
+		g.Set(i, j, complex(gv, 0))
+		c.Set(i, j, complex(cv, 0))
+	})
+	return g, c
 }
 
 // shiftInvert computes (G + σC)⁻¹ C column by column; a canceled ctx
@@ -159,15 +162,7 @@ func (s *Sim) TransferZeros(ctx context.Context, op *mna.OpPoint, src, outNode s
 	if err != nil {
 		return nil, err
 	}
-
-	g := linalg.NewCMatrix(n)
-	s.Sys.StampAC(g, nil, 0, op)
-	a1 := linalg.NewCMatrix(n)
-	s.Sys.StampAC(a1, nil, 1, op)
-	c := linalg.NewCMatrix(n)
-	for i := range c.Data {
-		c.Data[i] = (a1.Data[i] - g.Data[i]) / complex(0, 1)
-	}
+	g, c := s.denseGC(op)
 
 	// Augmented pencil of size n+1.
 	m := n + 1

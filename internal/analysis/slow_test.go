@@ -30,7 +30,7 @@ func TestACSlowPointCapture(t *testing.T) {
 	}
 	valid := map[string]bool{
 		"full": true, "refactor": true,
-		"refactor_fallback": true, "pattern_drift": true, "diag": true,
+		"refactor_fallback": true, "diag": true,
 	}
 	wall, health := 0, 0
 	prevWall := int64(0)

@@ -8,9 +8,13 @@
 // design-variable overrides; each holds a tool.Compiled whose shared
 // sparse {Pattern, Symbolic} factorization carries the stamp-stream
 // checksum from the solver, which the cache re-validates on every warm
-// hit — a circuit whose stamping drifted is evicted and recompiled rather
-// than served stale. Population is single-flight: concurrent identical
-// submissions share one compile, the rest block on its completion.
+// hit. The solver checks a sweep's stamp stream against the shared pattern
+// once per operating point, when it builds that point's G + jωC pencil,
+// and re-records the pattern when the stream changed; a warm entry whose
+// checksum moved since it was first observed no longer has the structure
+// it was cached with, so it is evicted and recompiled rather than served.
+// Population is single-flight: concurrent identical submissions share
+// one compile, the rest block on its completion.
 
 package farm
 
@@ -131,8 +135,7 @@ func (c *Cache) Len() int {
 // did not pay for the compile. Failed compiles are not cached; every
 // waiter sees the error once and the next Get compiles afresh. A hit
 // whose sparse stamp-stream checksum no longer matches the one first
-// observed for the entry (pattern drift) invalidates the entry and
-// recompiles.
+// observed for the entry invalidates the entry and recompiles.
 func (c *Cache) Get(ctx context.Context, key CacheKey, compile func() (*tool.Compiled, error)) (*tool.Compiled, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
@@ -192,9 +195,9 @@ func (c *Cache) Get(ctx context.Context, key CacheKey, compile func() (*tool.Com
 }
 
 // validate checks a completed entry's stamp-stream checksum against the
-// one first observed for it. It returns true when the entry is stale
-// (drift: the checksum changed since first observed). A cold entry (no
-// sweep has built the symbolic analysis yet) validates trivially.
+// one first observed for it. It returns true when the entry is stale (the
+// checksum changed since first observed). A cold entry (no sweep has
+// built the symbolic analysis yet) validates trivially.
 func (c *Cache) validate(ent *cacheEntry) (stale bool) {
 	sig, warm := ent.c.ACChecksum()
 	if !warm {

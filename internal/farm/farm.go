@@ -465,7 +465,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 // (request_id, trace_id), outcome and HTTP status, wall time, the sweep
 // volume and result shape (nodes, frequency points, peaks, loops), and
 // the per-run solver-counter deltas from the run trace (factorizations,
-// refactorizations, fallbacks, pattern drift, diag rows visited, ...) so
+// refactorizations, fallbacks, symbolic builds, diag rows visited, ...) so
 // fleet-level log queries like "which runs fell off the refactor fast
 // path" need no metric join.
 func (s *server) emitRunEvent(ev *runEvent, dur time.Duration) {

@@ -163,7 +163,7 @@ const condEstIters = 5
 // CondEst1 estimates the 1-norm condition number κ₁(A) = ‖A‖₁·‖A⁻¹‖₁ by
 // Hager/Higham power iteration on ‖A⁻¹‖₁: alternating solves with A and
 // Aᴴ against sign vectors, at most condEstIters round trips. vals are the
-// stamped CSR values this Numeric was refactored from (for ‖A‖₁); v and z
+// CSR values this Numeric was refactored from (for ‖A‖₁); v and z
 // are len-n scratch. The estimate is a lower bound on κ₁, reliable to a
 // small constant factor — sample it a few times per sweep, not per point.
 func (nm *Numeric) CondEst1(vals []complex128, v, z []complex128) (float64, error) {

@@ -10,16 +10,16 @@ import (
 
 // setupLadder compiles an n-node ladder and returns its refactored
 // Numeric plus the supporting state.
-func setupLadder(t *testing.T, n int, omega float64) (*Pattern, *Vals, *Numeric) {
+func setupLadder(t *testing.T, n int, omega float64) (*Pattern, []complex128, *Numeric) {
 	t.Helper()
 	calls := ladderStamp(n, omega)
 	pat, vals := compile(n, calls)
-	sym, err := pat.Analyze(vals.Values())
+	sym, err := pat.Analyze(vals)
 	if err != nil {
 		t.Fatal(err)
 	}
 	num := sym.NewNumeric()
-	if err := num.Refactor(vals.Values()); err != nil {
+	if err := num.Refactor(vals); err != nil {
 		t.Fatal(err)
 	}
 	return pat, vals, num
@@ -41,7 +41,7 @@ func TestResidualInf(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := make([]complex128, n)
-	eta, err := pat.ResidualInf(vals.Values(), x, b, r)
+	eta, err := pat.ResidualInf(vals, x, b, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestResidualInf(t *testing.T) {
 
 	// Corrupt the solution: the backward error must see it.
 	x[n/2] *= 2
-	if bad, _ := pat.ResidualInf(vals.Values(), x, b, r); bad < 1e-6 {
+	if bad, _ := pat.ResidualInf(vals, x, b, r); bad < 1e-6 {
 		t.Errorf("corrupted solve residual = %g, want large", bad)
 	}
 }
@@ -81,7 +81,7 @@ func TestResidualInfZeroSystem(t *testing.T) {
 	x := make([]complex128, 2)
 	b := make([]complex128, 2)
 	r := make([]complex128, 2)
-	eta, err := pat.ResidualInf(vals.Values(), x, b, r)
+	eta, err := pat.ResidualInf(vals, x, b, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestResidualInfZeroSystem(t *testing.T) {
 		t.Errorf("all-zero system residual = %g, want 0", eta)
 	}
 	b[0] = 1 // r = b ≠ 0 but A and x are zero, so bnorm > 0 → finite
-	if eta, _ = pat.ResidualInf(vals.Values(), x, b, r); eta != 1 {
+	if eta, _ = pat.ResidualInf(vals, x, b, r); eta != 1 {
 		t.Errorf("zero-matrix nonzero-b residual = %g, want 1", eta)
 	}
 }
@@ -112,7 +112,7 @@ func TestRefineInto(t *testing.T) {
 	}
 	r := make([]complex128, n)
 	d := make([]complex128, n)
-	before, err := pat.ResidualInf(vals.Values(), x, b, r)
+	before, err := pat.ResidualInf(vals, x, b, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestRefineInto(t *testing.T) {
 	if err := num.RefineInto(x, r, d); err != nil {
 		t.Fatal(err)
 	}
-	after, err := pat.ResidualInf(vals.Values(), x, b, r)
+	after, err := pat.ResidualInf(vals, x, b, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestCondEst1(t *testing.T) {
 	_, vals, num := setupLadder(t, n, 1e6)
 	v := make([]complex128, n)
 	z := make([]complex128, n)
-	est, err := num.CondEst1(vals.Values(), v, z)
+	est, err := num.CondEst1(vals, v, z)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestNumericsAllocationFree(t *testing.T) {
 		if err := num.SolveInto(x, b); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pat.ResidualInf(vals.Values(), x, b, r); err != nil {
+		if _, err := pat.ResidualInf(vals, x, b, r); err != nil {
 			t.Fatal(err)
 		}
 		if err := num.RefineInto(x, r, d); err != nil {

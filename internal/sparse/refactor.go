@@ -5,10 +5,15 @@ package sparse
 // the pivot-order search and fill-in analysis need to run only once per
 // sweep. This file implements that split:
 //
-//   - Recorder captures the (i,j) call stream of one stamping pass and
-//     freezes it into a Pattern: a CSR layout plus a per-call slot table,
-//     so every later stamping pass writes straight into a flat value
-//     array (Vals) with no maps and no allocations.
+//   - Recorder captures the (i,j,value) call stream of one stamping pass
+//     and freezes its structure into a Pattern: a CSR layout plus a
+//     per-call slot table.
+//   - Pattern.Pencil scatters a pass recorded at ω = 1 into real arrays
+//     G = Re and C = Im per CSR slot. MNA stamping is affine in ω, so
+//     Pencil.FillInto then writes A(ω) = G + jωC for any frequency in one
+//     loop over nnz: no stamping pass, no maps, no allocations. Pencil
+//     is also where the recorded call stream is checked against the
+//     pattern, once per pass instead of once per frequency.
 //   - Pattern.Analyze runs the threshold/Markowitz pivot search once and
 //     records the elimination order and the exact fill-in pattern of L
 //     and U as index arrays (Symbolic).
@@ -20,10 +25,8 @@ package sparse
 //
 // Reusing a pivot order chosen at one frequency at another is safe for
 // the diagonally dominant MNA systems this repo sweeps, but it is guarded
-// anyway: Vals carries an order-sensitive structural checksum (pattern
-// drift re-records the pattern) and Refactor rejects pivots that collapse
-// relative to their row scale (numeric drift re-pivots the same values
-// with Pattern.Repivot).
+// anyway: Refactor rejects pivots that collapse relative to their row
+// scale, and the caller re-pivots the same values with Pattern.Repivot.
 
 import (
 	"fmt"
@@ -41,7 +44,7 @@ const (
 // Pattern is the frozen structure of a stamped matrix: the CSR layout of
 // every position one assembly pass touches, the recorded order of Add
 // calls mapping each call to its slot in a value array, and a structural
-// checksum of the call stream used to detect pattern drift.
+// checksum of the call stream.
 type Pattern struct {
 	n      int
 	rowPtr []int32 // len n+1
@@ -55,8 +58,8 @@ func (p *Pattern) N() int { return p.n }
 
 // Checksum returns the FNV-1a structural checksum of the recorded stamp
 // stream. Two circuits whose assembly passes issue the same (i, j) call
-// sequence share a checksum, and a circuit whose stamping changed (drift)
-// does not — which makes it the content fingerprint the worker's
+// sequence share a checksum, and a circuit whose stamping changed does
+// not — which makes it the content fingerprint the worker's
 // compiled-system cache validates entries against.
 func (p *Pattern) Checksum() uint64 { return p.sig }
 
@@ -66,7 +69,7 @@ func (p *Pattern) NNZ() int { return len(p.col) }
 
 // SlotOf returns the value-array slot of structural position (i, j), or -1
 // when the pattern has no entry there. It lets tests and diagnostics
-// address individual entries of a Vals array without replaying a stamp
+// address individual entries of a value array without replaying a stamp
 // pass.
 func (p *Pattern) SlotOf(i, j int) int {
 	if i < 0 || i >= p.n {
@@ -80,13 +83,15 @@ func (p *Pattern) SlotOf(i, j int) int {
 	return -1
 }
 
-// Recorder captures the structure of one stamping pass. It implements the
-// same Add interface the stamping code targets; values are ignored, only
-// the (i,j) stream matters. Record exactly one pass, then Compile.
+// Recorder captures one stamping pass. It implements the same Add
+// interface the stamping code targets. Compile freezes the (i,j) stream
+// into a Pattern; Pattern.Pencil scatters the values. Record exactly one
+// pass.
 type Recorder struct {
 	n     int
-	calls []int64 // i*n + j per Add call, in call order
-	close int     // unknowns 0..close-1 get a structural diagonal
+	calls []int64      // i*n + j per Add call, in call order
+	vals  []complex128 // value per Add call
+	close int          // unknowns 0..close-1 get a structural diagonal
 }
 
 // NewRecorder returns a Recorder for an n-by-n system.
@@ -108,9 +113,10 @@ func (r *Recorder) CloseDiagonal(m int) {
 	r.close = m
 }
 
-// Add records the position of one stamp call.
+// Add records one stamp call.
 func (r *Recorder) Add(i, j int, v complex128) {
 	r.calls = append(r.calls, int64(i)*int64(r.n)+int64(j))
+	r.vals = append(r.vals, v)
 }
 
 // Compile freezes the recorded call stream into a Pattern.
@@ -149,52 +155,57 @@ func (r *Recorder) Compile() *Pattern {
 	return p
 }
 
-// Vals is a flat value array matching a Pattern. It implements the stamp
-// Add interface by replaying the recorded call sequence: each call lands
-// in its precomputed slot with no map lookups and no allocations. A
-// structural checksum accumulated during the replay detects stamp passes
-// that deviate from the recorded pattern (Drift).
-type Vals struct {
-	p   *Pattern
-	v   []complex128
-	t   int
-	sig uint64
+// Pencil is the affine split A(ω) = G + jωC of one stamping pass over a
+// Pattern: real arrays G and C aligned with the pattern's value slots.
+type Pencil struct {
+	pat  *Pattern
+	g, c []float64
 }
 
-// NewVals returns an empty value array for the pattern.
-func (p *Pattern) NewVals() *Vals {
-	return &Vals{p: p, v: make([]complex128, len(p.col))}
-}
-
-// Begin resets the values and the call cursor for a new stamping pass.
-func (v *Vals) Begin() {
-	for i := range v.v {
-		v.v[i] = 0
+// Pencil scatters the pass r recorded at ω = 1 into the pattern's slots:
+// G = Re and C = Im of every slot's accumulated value. It returns nil when
+// r's call stream is not exactly the one the pattern was compiled from (an
+// extra, missing or moved call): r then describes another matrix
+// structure and needs a pattern of its own.
+func (p *Pattern) Pencil(r *Recorder) *Pencil {
+	if r.n != p.n || len(r.calls) != len(p.seq) {
+		return nil
 	}
-	v.t = 0
-	v.sig = fnvOffset
-}
-
-// Add accumulates one stamp call into its recorded slot.
-func (v *Vals) Add(i, j int, val complex128) {
-	key := int64(i)*int64(v.p.n) + int64(j)
-	v.sig = (v.sig ^ uint64(key)) * fnvPrime
-	if v.t < len(v.p.seq) {
-		v.v[v.p.seq[v.t]] += val
+	pc := &Pencil{pat: p, g: make([]float64, len(p.col)), c: make([]float64, len(p.col))}
+	n := int64(p.n)
+	for t, k := range r.calls {
+		s, i := p.seq[t], k/n
+		if p.col[s] != int32(k%n) || s < p.rowPtr[i] || s >= p.rowPtr[i+1] {
+			return nil
+		}
+		pc.g[s] += real(r.vals[t])
+		pc.c[s] += imag(r.vals[t])
 	}
-	v.t++
+	return pc
 }
 
-// Drift reports whether the stamping pass since Begin deviated
-// structurally (different call count or call stream) from the pattern.
-// When it does, the values are meaningless and the caller must record a
-// fresh pattern for the pass.
-func (v *Vals) Drift() bool {
-	return v.t != len(v.p.seq) || v.sig != v.p.sig
+// Pattern returns the pattern the pencil's slots belong to.
+func (pc *Pencil) Pattern() *Pattern { return pc.pat }
+
+// FillInto writes A(ω) = G + jωC into vals, one entry per slot.
+func (pc *Pencil) FillInto(vals []complex128, omega float64) {
+	g, c := pc.g, pc.c[:len(pc.g)]
+	vals = vals[:len(g)]
+	for s := range g {
+		vals[s] = complex(g[s], omega*c[s])
+	}
 }
 
-// Values exposes the stamped CSR value array (aliased, not copied).
-func (v *Vals) Values() []complex128 { return v.v }
+// Each calls fn with every structural position and its G and C entries,
+// in row-major order.
+func (pc *Pencil) Each(fn func(i, j int, g, c float64)) {
+	p := pc.pat
+	for i := 0; i < p.n; i++ {
+		for s := p.rowPtr[i]; s < p.rowPtr[i+1]; s++ {
+			fn(i, int(p.col[s]), pc.g[s], pc.c[s])
+		}
+	}
+}
 
 // Symbolic is the value-independent half of a factorization: the pivot
 // order chosen by one full threshold/Markowitz analysis and the complete
@@ -221,7 +232,7 @@ type Symbolic struct {
 func (s *Symbolic) FillIn() int { return len(s.lsrc) + len(s.ucol) + s.n }
 
 // Analyze runs the one-time pivot search and fill analysis on the pattern
-// with the given values (one stamped frequency point of the sweep). The
+// with the given values (one frequency point of the sweep). The
 // pivot choice is numeric — threshold partial pivoting with the Markowitz
 // sparsity tie-break — but the recorded elimination
 // order and fill pattern are value-independent: fill positions are kept
@@ -372,7 +383,7 @@ const refactorPivTol = 1e-12
 // full factorization a sweep takes when the frozen order collapses at one
 // frequency or a residual breach escalates past refinement. The pivots
 // were just chosen on these very values, so the refill rejects only a
-// zero or non-finite pivot, not one Refactor's drift guard would.
+// zero or non-finite pivot, not one Refactor's collapse guard would.
 func (p *Pattern) Repivot(vals []complex128) (*Numeric, error) {
 	sym, err := p.Analyze(vals)
 	if err != nil {
@@ -415,8 +426,8 @@ func (s *Symbolic) NewNumeric() *Numeric {
 	}
 }
 
-// Refactor refills the factorization from a freshly stamped value array
-// (Vals.Values with Drift() false). It replays the recorded elimination —
+// Refactor refills the factorization from a value array over the pattern
+// (a Pencil fill). It replays the recorded elimination —
 // no pivot search, no maps, no allocations: one Gilbert–Peierls pass per
 // row over the precomputed fill pattern. On a pivot failure the numeric
 // state is invalid and the error wraps acerr.ErrSingularMatrix; the

@@ -44,15 +44,33 @@ func replay(a adder, calls []stampCall) {
 	}
 }
 
-// compile records one pass and returns the frozen pattern plus its Vals.
-func compile(n int, calls []stampCall) (*Pattern, *Vals) {
+// compile records one pass and returns the frozen pattern plus the pass's
+// values.
+func compile(n int, calls []stampCall) (*Pattern, []complex128) {
 	rec := NewRecorder(n)
 	replay(rec, calls)
 	pat := rec.Compile()
-	vals := pat.NewVals()
-	vals.Begin()
-	replay(vals, calls)
-	return pat, vals
+	return pat, stamp(pat, calls)
+}
+
+// pencilOf records calls as one pass and scatters it over pat; nil when
+// the call stream does not match the pattern's.
+func pencilOf(pat *Pattern, calls []stampCall) *Pencil {
+	rec := NewRecorder(pat.N())
+	replay(rec, calls)
+	return pat.Pencil(rec)
+}
+
+// stamp returns the summed values of calls over pat: the pencil filled at
+// ω = 1 is exactly G + jC, the accumulated stamp values.
+func stamp(pat *Pattern, calls []stampCall) []complex128 {
+	pc := pencilOf(pat, calls)
+	if pc == nil {
+		panic("sparse test: stamp stream does not match the pattern")
+	}
+	vals := make([]complex128, pat.NNZ())
+	pc.FillInto(vals, 1)
+	return vals
 }
 
 func maxRelDiff(a, b []complex128) float64 {
@@ -90,7 +108,7 @@ func cabs(v complex128) float64 {
 func TestRefactorAgreesWithFactor(t *testing.T) {
 	const n = 24
 	pat, vals := compile(n, ladderStamp(n, 1e6))
-	sym, err := pat.Analyze(vals.Values())
+	sym, err := pat.Analyze(vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +116,7 @@ func TestRefactorAgreesWithFactor(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, omega := range []float64{1, 1e3, 1e6, 1e9, 1e12} {
 		calls := ladderStamp(n, omega)
-		vals.Begin()
-		replay(vals, calls)
-		if vals.Drift() {
-			t.Fatalf("omega %g: unexpected drift", omega)
-		}
-		if err := num.Refactor(vals.Values()); err != nil {
+		if err := num.Refactor(stamp(pat, calls)); err != nil {
 			t.Fatalf("omega %g: %v", omega, err)
 		}
 		b := make([]complex128, n)
@@ -125,12 +138,13 @@ func TestRefactorAgreesWithFactor(t *testing.T) {
 }
 
 // TestRefactorAllocationFree is the steady-state allocation contract of
-// the AC hot path: restamp + refactor + solve must not allocate at all.
+// the AC hot path: pencil fill + refactor + solve must not allocate at all.
 func TestRefactorAllocationFree(t *testing.T) {
 	const n = 32
-	calls := ladderStamp(n, 1e6)
+	calls := ladderStamp(n, 1)
 	pat, vals := compile(n, calls)
-	sym, err := pat.Analyze(vals.Values())
+	pc := pencilOf(pat, calls)
+	sym, err := pat.Analyze(vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,12 +153,8 @@ func TestRefactorAllocationFree(t *testing.T) {
 	x := make([]complex128, n)
 	b[0] = 1
 	allocs := testing.AllocsPerRun(50, func() {
-		vals.Begin()
-		replay(vals, calls)
-		if vals.Drift() {
-			t.Fatal("drift")
-		}
-		if err := num.Refactor(vals.Values()); err != nil {
+		pc.FillInto(vals, 1e6)
+		if err := num.Refactor(vals); err != nil {
 			t.Fatal(err)
 		}
 		if err := num.SolveInto(x, b); err != nil {
@@ -152,48 +162,33 @@ func TestRefactorAllocationFree(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state restamp+refactor+solve allocated %v times per run, want 0", allocs)
+		t.Errorf("steady-state fill+refactor+solve allocated %v times per run, want 0", allocs)
 	}
 }
 
-// TestDriftDetection: a stamp pass that deviates from the recorded stream
-// (extra call, missing call, or different position order) must be flagged.
+// TestDriftDetection: a recorded pass whose call stream deviates from the
+// one the pattern was compiled from (extra call, missing call, or
+// different position order) gets no pencil over the pattern.
 func TestDriftDetection(t *testing.T) {
 	const n = 8
 	calls := ladderStamp(n, 1e3)
-	pat, vals := compile(n, calls)
+	pat, _ := compile(n, calls)
 
-	// Extra call appended.
-	vals.Begin()
-	replay(vals, calls)
-	vals.Add(0, n-1, 1)
-	if !vals.Drift() {
+	extra := append(append([]stampCall(nil), calls...), stampCall{0, n - 1, 1})
+	if pencilOf(pat, extra) != nil {
 		t.Error("extra stamp call not detected")
 	}
-
-	// Missing final call.
-	vals.Begin()
-	replay(vals, calls[:len(calls)-1])
-	if !vals.Drift() {
+	if pencilOf(pat, calls[:len(calls)-1]) != nil {
 		t.Error("missing stamp call not detected")
 	}
-
-	// Same count, different positions.
-	vals.Begin()
 	swapped := append([]stampCall(nil), calls...)
 	swapped[0], swapped[1] = swapped[1], swapped[0]
-	replay(vals, swapped)
-	if !vals.Drift() {
+	if pencilOf(pat, swapped) != nil {
 		t.Error("reordered stamp stream not detected")
 	}
-
-	// The pristine stream still verifies after all that.
-	vals.Begin()
-	replay(vals, calls)
-	if vals.Drift() {
+	if pencilOf(pat, calls) == nil {
 		t.Error("false positive on pristine stream")
 	}
-	_ = pat
 }
 
 // TestRefactorSingularFallback: values that collapse a pivot under the
@@ -203,14 +198,14 @@ func TestRefactorSingularFallback(t *testing.T) {
 	const n = 6
 	calls := ladderStamp(n, 1e6)
 	pat, vals := compile(n, calls)
-	sym, err := pat.Analyze(vals.Values())
+	sym, err := pat.Analyze(vals)
 	if err != nil {
 		t.Fatal(err)
 	}
 	num := sym.NewNumeric()
 
 	// Zero every value: all pivots collapse.
-	dead := make([]complex128, len(vals.Values()))
+	dead := make([]complex128, len(vals))
 	if err := num.Refactor(dead); err == nil {
 		t.Fatal("refactor accepted an all-zero matrix")
 	} else if !errors.Is(err, acerr.ErrSingularMatrix) {
@@ -219,9 +214,7 @@ func TestRefactorSingularFallback(t *testing.T) {
 
 	// The workspace invariant must survive the error: a good refactor
 	// right after still agrees with the dense oracle.
-	vals.Begin()
-	replay(vals, calls)
-	if err := num.Refactor(vals.Values()); err != nil {
+	if err := num.Refactor(stamp(pat, calls)); err != nil {
 		t.Fatalf("refactor after singular failure: %v", err)
 	}
 	b := make([]complex128, n)
@@ -242,19 +235,13 @@ func TestRefactorSingularFallback(t *testing.T) {
 // TestAnalyzeSingular: the symbolic phase itself rejects a numerically
 // dead column.
 func TestAnalyzeSingular(t *testing.T) {
-	rec := NewRecorder(3)
-	rec.Add(0, 0, 0)
-	rec.Add(1, 1, 0)
-	rec.Add(2, 2, 0)
-	rec.Add(0, 1, 0)
-	pat := rec.Compile()
-	vals := pat.NewVals()
-	vals.Begin()
-	vals.Add(0, 0, 1)
-	vals.Add(1, 1, 1)
-	vals.Add(2, 2, 0) // column 2 is structurally present but numerically dead
-	vals.Add(0, 1, 0.5)
-	if _, err := pat.Analyze(vals.Values()); err == nil {
+	pat, vals := compile(3, []stampCall{
+		{0, 0, 1},
+		{1, 1, 1},
+		{2, 2, 0}, // column 2 is structurally present but numerically dead
+		{0, 1, 0.5},
+	})
+	if _, err := pat.Analyze(vals); err == nil {
 		t.Fatal("Analyze accepted a dead column")
 	} else if !errors.Is(err, acerr.ErrSingularMatrix) {
 		t.Fatalf("error %v does not wrap ErrSingularMatrix", err)
@@ -267,7 +254,7 @@ func TestSymbolicSharedAcrossNumerics(t *testing.T) {
 	const n = 16
 	calls := ladderStamp(n, 1e5)
 	pat, vals := compile(n, calls)
-	sym, err := pat.Analyze(vals.Values())
+	sym, err := pat.Analyze(vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +263,7 @@ func TestSymbolicSharedAcrossNumerics(t *testing.T) {
 	var ref []complex128
 	for w := 0; w < 3; w++ {
 		num := sym.NewNumeric()
-		if err := num.Refactor(vals.Values()); err != nil {
+		if err := num.Refactor(vals); err != nil {
 			t.Fatal(err)
 		}
 		x := make([]complex128, n)

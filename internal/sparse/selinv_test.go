@@ -19,10 +19,10 @@ func allNodes(n int) []int {
 
 // selInvSetup compiles a stamp stream, analyzes it and builds the
 // selected-inverse plan plus a numeric refilled with the stream's values.
-func selInvSetup(t *testing.T, n int, calls []stampCall) (*Pattern, *Vals, *Numeric, *SelInv) {
+func selInvSetup(t *testing.T, n int, calls []stampCall) (*Pattern, []complex128, *Numeric, *SelInv) {
 	t.Helper()
 	pat, vals := compile(n, calls)
-	sym, err := pat.Analyze(vals.Values())
+	sym, err := pat.Analyze(vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func selInvSetup(t *testing.T, n int, calls []stampCall) (*Pattern, *Vals, *Nume
 		t.Fatal(err)
 	}
 	num := sym.NewNumeric()
-	if err := num.Refactor(vals.Values()); err != nil {
+	if err := num.Refactor(vals); err != nil {
 		t.Fatal(err)
 	}
 	return pat, vals, num, si
@@ -63,16 +63,14 @@ func checkDiagAgainstDense(t *testing.T, what string, n int, calls []stampCall, 
 // scale-relative.
 func TestSolveDiagAgreesWithSolveInto(t *testing.T) {
 	const n = 24
-	_, vals, num, si := selInvSetup(t, n, ladderStamp(n, 1e6))
+	pat, _, num, si := selInvSetup(t, n, ladderStamp(n, 1e6))
 	nodes := allNodes(n)
 	dst := make([]complex128, n)
 	z := si.NewZ()
 	b := make([]complex128, n)
 	x := make([]complex128, n)
 	for _, omega := range []float64{1, 1e3, 1e6, 1e9, 1e12} {
-		vals.Begin()
-		replay(vals, ladderStamp(n, omega))
-		if err := num.Refactor(vals.Values()); err != nil {
+		if err := num.Refactor(stamp(pat, ladderStamp(n, omega))); err != nil {
 			t.Fatalf("omega %g: %v", omega, err)
 		}
 		if err := num.DiagInverseInto(dst, nodes, si, z); err != nil {
@@ -110,23 +108,20 @@ func TestSolveDiagSubsetAndOrder(t *testing.T) {
 }
 
 // TestSolveDiagAllocationFree pins the steady-state contract of the
-// selected-inverse kernel: restamp + refactor + DiagInverseInto must not
-// allocate at all once the plan, the numeric storage and the Z scratch
-// exist.
+// selected-inverse kernel: pencil fill + refactor + DiagInverseInto must
+// not allocate at all once the plan, the numeric storage and the Z
+// scratch exist.
 func TestSolveDiagAllocationFree(t *testing.T) {
 	const n = 32
-	calls := ladderStamp(n, 1e6)
-	_, vals, num, si := selInvSetup(t, n, calls)
+	calls := ladderStamp(n, 1)
+	pat, vals, num, si := selInvSetup(t, n, calls)
+	pc := pencilOf(pat, calls)
 	nodes := allNodes(n)
 	dst := make([]complex128, n)
 	z := si.NewZ()
 	allocs := testing.AllocsPerRun(50, func() {
-		vals.Begin()
-		replay(vals, calls)
-		if vals.Drift() {
-			t.Fatal("drift")
-		}
-		if err := num.Refactor(vals.Values()); err != nil {
+		pc.FillInto(vals, 1e6)
+		if err := num.Refactor(vals); err != nil {
 			t.Fatal(err)
 		}
 		if err := num.DiagInverseInto(dst, nodes, si, z); err != nil {
@@ -134,7 +129,7 @@ func TestSolveDiagAllocationFree(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state restamp+refactor+selected-inverse allocated %v times per run, want 0", allocs)
+		t.Errorf("steady-state fill+refactor+selected-inverse allocated %v times per run, want 0", allocs)
 	}
 }
 
@@ -284,7 +279,7 @@ func TestSelInvDenseOracleProperty(t *testing.T) {
 	sawAsymmetric := false
 	for _, sys := range systems {
 		omegas := []float64{2 * math.Pi, 2 * math.Pi * 1e4, 2 * math.Pi * 1e8}
-		_, vals, num, si := selInvSetup(t, sys.n, sys.calls(omegas[0]))
+		pat, _, num, si := selInvSetup(t, sys.n, sys.calls(omegas[0]))
 		if len(num.sym.lsrc) != len(num.sym.ucol) {
 			sawAsymmetric = true
 		}
@@ -293,12 +288,7 @@ func TestSelInvDenseOracleProperty(t *testing.T) {
 		z := si.NewZ()
 		for _, omega := range omegas {
 			calls := sys.calls(omega)
-			vals.Begin()
-			replay(vals, calls)
-			if vals.Drift() {
-				t.Fatalf("%s: drift", sys.name)
-			}
-			if err := num.Refactor(vals.Values()); err != nil {
+			if err := num.Refactor(stamp(pat, calls)); err != nil {
 				t.Fatalf("%s n=%d omega %g: %v", sys.name, sys.n, omega, err)
 			}
 			if err := num.DiagInverseInto(dst, nodes, si, z); err != nil {
@@ -338,16 +328,16 @@ func TestStructuralDiagonalClosure(t *testing.T) {
 	if pat.SlotOf(2, 2) >= 0 {
 		t.Error("closure reached the voltage-source branch")
 	}
-	vals := pat.NewVals()
-	vals.Begin()
-	replay(vals, calls)
-	if vals.Drift() {
-		t.Error("replaying the recorded stream drifted against the closed pattern")
+	pc := pencilOf(pat, calls)
+	if pc == nil {
+		t.Fatal("the recorded stream does not match its own closed pattern")
 	}
-	if v := vals.Values()[pat.SlotOf(0, 0)]; v != 0 {
+	vals := make([]complex128, pat.NNZ())
+	pc.FillInto(vals, 1)
+	if v := vals[pat.SlotOf(0, 0)]; v != 0 {
 		t.Errorf("closure slot holds %v, want 0", v)
 	}
-	sym, err := pat.Analyze(vals.Values())
+	sym, err := pat.Analyze(vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +346,7 @@ func TestStructuralDiagonalClosure(t *testing.T) {
 		t.Fatal(err)
 	}
 	num := sym.NewNumeric()
-	if err := num.Refactor(vals.Values()); err != nil {
+	if err := num.Refactor(vals); err != nil {
 		t.Fatal(err)
 	}
 	want := []int{0, 1, 3}
@@ -371,7 +361,7 @@ func TestStructuralDiagonalClosure(t *testing.T) {
 
 	// Without the closure node 0's inverse diagonal is off the pattern.
 	pat2, vals2 := compile(n, calls)
-	sym2, err := pat2.Analyze(vals2.Values())
+	sym2, err := pat2.Analyze(vals2)
 	if err != nil {
 		t.Fatal(err)
 	}

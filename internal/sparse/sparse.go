@@ -1,7 +1,9 @@
 // Package sparse implements the sparse complex LU solver for MNA systems.
 //
 // A stamping pass is recorded once into a frozen CSR Pattern (duplicate
-// entries sum, matching MNA stamping); Pattern.Analyze then factors it
+// entries sum, matching MNA stamping) and split into the real arrays of
+// its pencil G + jωC, so each frequency's values are one fill over the
+// nonzeros (Pencil.FillInto); Pattern.Analyze then factors them
 // with row-wise Gaussian elimination using threshold partial pivoting with
 // a Markowitz-style tie-break (among numerically acceptable pivots, prefer
 // the sparsest row) to limit fill-in, and records the pivot order and fill

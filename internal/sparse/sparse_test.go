@@ -13,7 +13,7 @@ import (
 // pivot search (Repivot) and solves it for b.
 func solveCalls(n int, calls []stampCall, b []complex128) ([]complex128, error) {
 	pat, vals := compile(n, calls)
-	nm, err := pat.Repivot(vals.Values())
+	nm, err := pat.Repivot(vals)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +61,7 @@ func TestSolveKnown(t *testing.T) {
 func TestAddAccumulates(t *testing.T) {
 	calls := []stampCall{{0, 0, 1}, {0, 0, complex(2, 1)}}
 	pat, vals := compile(2, calls)
-	if got := vals.Values()[pat.SlotOf(0, 0)]; got != complex(3, 1) {
+	if got := vals[pat.SlotOf(0, 0)]; got != complex(3, 1) {
 		t.Errorf("(0,0) = %v", got)
 	}
 	if pat.NNZ() != 1 {
@@ -71,7 +71,7 @@ func TestAddAccumulates(t *testing.T) {
 	if pat.NNZ() != 2 {
 		t.Errorf("NNZ with a zero-valued call = %d, want 2", pat.NNZ())
 	}
-	if got := vals.Values()[pat.SlotOf(1, 1)]; got != 0 {
+	if got := vals[pat.SlotOf(1, 1)]; got != 0 {
 		t.Errorf("(1,1) = %v, want 0", got)
 	}
 }
@@ -161,12 +161,12 @@ func TestFactorReuseMultiRHS(t *testing.T) {
 			stampCall{i, (i + 1) % n, complex(r.NormFloat64(), 0)})
 	}
 	pat, vals := compile(n, calls)
-	sym, err := pat.Analyze(vals.Values())
+	sym, err := pat.Analyze(vals)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nm := sym.NewNumeric()
-	if err := nm.Refactor(vals.Values()); err != nil {
+	if err := nm.Refactor(vals); err != nil {
 		t.Fatal(err)
 	}
 	dm := denseOf(n, calls)
@@ -198,7 +198,7 @@ func TestTridiagonalLowFill(t *testing.T) {
 		}
 	}
 	pat, vals := compile(n, calls)
-	nm, err := pat.Repivot(vals.Values())
+	nm, err := pat.Repivot(vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,29 +216,24 @@ func TestTridiagonalLowFill(t *testing.T) {
 	checkResidual(t, denseOf(n, calls), x, b, 1e-10)
 }
 
-// TestZeroPreservesStructure: Begin clears the values for a new stamping
-// pass but keeps the frozen structure, so the next pass lands in the same
-// slots.
+// TestZeroPreservesStructure: a pencil fill overwrites every slot instead
+// of accumulating into the previous fill, so one value array over the
+// frozen structure serves every frequency of a sweep.
 func TestZeroPreservesStructure(t *testing.T) {
-	pat, vals := compile(2, []stampCall{{0, 1, 3}})
-	vals.Begin()
-	for _, v := range vals.Values() {
-		if v != 0 {
-			t.Fatal("Begin should clear entries")
+	calls := []stampCall{{0, 1, complex(3, 2)}}
+	pat, vals := compile(2, calls)
+	pc := pencilOf(pat, calls)
+	for _, omega := range []float64{5, 0, 1} {
+		pc.FillInto(vals, omega)
+		if got, want := vals[pat.SlotOf(0, 1)], complex(3, 2*omega); got != want {
+			t.Errorf("omega %g: (0,1) = %v, want %v", omega, got, want)
 		}
-	}
-	vals.Add(0, 1, 2)
-	if vals.Drift() {
-		t.Error("restamp after Begin drifted")
-	}
-	if got := vals.Values()[pat.SlotOf(0, 1)]; got != 2 {
-		t.Errorf("reuse after Begin failed: (0,1) = %v", got)
 	}
 }
 
 func TestRHSLengthMismatch(t *testing.T) {
 	pat, vals := compile(2, []stampCall{{0, 0, 1}, {1, 1, 1}})
-	nm, err := pat.Repivot(vals.Values())
+	nm, err := pat.Repivot(vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,18 +252,17 @@ func TestRepivotAfterCollapse(t *testing.T) {
 		return []stampCall{{0, 0, d}, {0, 1, 1}, {1, 0, 1}, {1, 1, 1}}
 	}
 	pat, vals := compile(2, at(10))
-	sym, err := pat.Analyze(vals.Values())
+	sym, err := pat.Analyze(vals)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nm := sym.NewNumeric()
 	calls := at(1e-20)
-	vals.Begin()
-	replay(vals, calls)
-	if err := nm.Refactor(vals.Values()); err == nil {
+	vals = stamp(pat, calls)
+	if err := nm.Refactor(vals); err == nil {
 		t.Fatal("refactor accepted a collapsed pivot")
 	}
-	re, err := pat.Repivot(vals.Values())
+	re, err := pat.Repivot(vals)
 	if err != nil {
 		t.Fatal(err)
 	}

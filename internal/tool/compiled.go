@@ -81,8 +81,8 @@ func Compile(ckt *netlist.Circuit, opts Options) (*Compiled, error) {
 
 // ACChecksum returns the structural checksum of the shared AC stamp
 // pattern and whether the symbolic analysis is warm — (0, false) until the
-// first sparse sweep, or after pattern drift invalidated it. Cache layers
-// use it to verify a reused artifact still describes the same circuit.
+// first sweep builds it. Cache layers use it to verify a reused artifact
+// still describes the same circuit.
 func (c *Compiled) ACChecksum() (uint64, bool) { return c.base.ACChecksum() }
 
 // ensureOP returns the shared operating point, computing it on first use
