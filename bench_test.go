@@ -154,25 +154,38 @@ func BenchmarkFig5BiasAnnotation(b *testing.B) {
 // --- Ablations ---
 
 // BenchmarkAblationPerNodeVsShared compares the paper's one-AC-run-per-
-// node flow against the shared-factorization fast path (A1 in DESIGN.md).
+// node flow against the shared-factorization fast path (A1 in DESIGN.md)
+// at the analysis level: one-node diag sweeps looped over every node
+// against one all-nodes diag sweep, on the same default grid.
 func BenchmarkAblationPerNodeVsShared(b *testing.B) {
-	run := func(b *testing.B, naive bool) {
-		opts := tool.DefaultOptions()
-		opts.Naive = naive
-		opts.Workers = 1
-		tl, err := tool.New(circuits.FullCircuit(), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
+	ctx := context.Background()
+	sim := benchSim(b, circuits.FullCircuit())
+	op, err := sim.OP(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := tool.DefaultOptions()
+	freqs := num.LogGridPPD(o.FStart, o.FStop, o.PointsPerDecade)
+	nodes := make([]int, len(sim.Sys.NodeNames))
+	for i := range nodes {
+		nodes[i] = i
+	}
+	b.Run("naive-per-node", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := tl.AllNodes(context.Background()); err != nil {
+			for _, k := range nodes {
+				if _, err := sim.ImpedanceDiagSweep(ctx, freqs, op, []int{k}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("shared-factorization", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := sim.ImpedanceDiagSweep(ctx, freqs, op, nodes); err != nil {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("naive-per-node", func(b *testing.B) { run(b, true) })
-	b.Run("shared-factorization", func(b *testing.B) { run(b, false) })
+	})
 }
 
 // BenchmarkACLadderScaling measures the bare AC sweep on RC ladders of

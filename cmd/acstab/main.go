@@ -69,7 +69,6 @@ func runWith(args []string, out, errOut io.Writer) error {
 		annotate  = fs.Bool("annotate", false, "print the annotated netlist instead of the report")
 		plot      = fs.Bool("plot", false, "render ASCII plots (single-node mode)")
 		workers   = fs.Int("workers", 0, "parallel sweep workers (0 = all CPUs)")
-		naive     = fs.Bool("naive", false, "one AC run per node (paper's original flow)")
 		loopTol   = fs.Float64("loop-tol", 0.12, "relative tolerance for loop clustering")
 		resTol    = fs.Float64("residual-tol", 0, "scale-relative residual above which a solve is refined (0 = default 1e-9, negative disables the numerics observatory)")
 		skip      = fs.String("skip", "", "comma-separated node-name substrings to skip")
@@ -145,6 +144,11 @@ func runWith(args []string, out, errOut io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// vars collects the design-variable overrides (-set, then -state). They
+	// are applied to the parsed circuit, whose elements netlist.Flatten
+	// evaluates on compile; the paths that ship the netlist source instead
+	// (-remote, -corners) send them alongside it as Variables.
+	vars := map[string]float64{}
 	for _, s := range sets {
 		name, vs, ok := strings.Cut(s, "=")
 		if !ok {
@@ -159,14 +163,7 @@ func runWith(args []string, out, errOut io.Writer) error {
 			return fmt.Errorf("-set: unknown design variable %q", name)
 		}
 		ckt.Params[name] = v
-		// Re-evaluate element expressions with the override.
-		for _, e := range ckt.Elems {
-			if e.ValueExpr != "" {
-				if v, err := netlist.EvalExpr(e.ValueExpr, ckt.Params); err == nil {
-					e.Value = v
-				}
-			}
-		}
+		vars[name] = v
 	}
 
 	opts := tool.DefaultOptions()
@@ -181,7 +178,6 @@ func runWith(args []string, out, errOut io.Writer) error {
 	opts.RefinePointsPerDecade = *refinePPD
 	opts.RefineThreshold = *refineThr
 	opts.Workers = *workers
-	opts.Naive = *naive
 	opts.LoopTol = *loopTol
 	if *resTol != 0 {
 		aopts := analysis.DefaultOptions()
@@ -203,8 +199,15 @@ func runWith(args []string, out, errOut io.Writer) error {
 		if err != nil {
 			return err
 		}
+		temp := ckt.Temp
 		if err := st.Apply(ckt, &opts, true); err != nil {
 			return err
+		}
+		if ckt.Temp != temp && (*remote != "" || *corners != "") {
+			return fmt.Errorf("-state: temperature %g C cannot be sent with the netlist source (-remote, -corners); put it in the netlist", ckt.Temp)
+		}
+		for k, v := range st.Variables {
+			vars[k] = v
 		}
 	}
 	if *stateOut != "" {
@@ -226,11 +229,14 @@ func runWith(args []string, out, errOut io.Writer) error {
 		if sharded {
 			return fmt.Errorf("-corners takes a single -remote worker (the batch is one wire-v2 submission)")
 		}
-		runErr = runCorners(ctx, out, *remote, src, opts, *node, *format, *timeout, trace, *corners)
+		runErr = runCorners(ctx, out, *remote, src, vars, opts, *node, *format, *timeout, trace, *corners)
 	case sharded:
+		if len(vars) > 0 {
+			return fmt.Errorf("design-variable overrides (-set, -state) cannot be sent to a sharded run; use a single -remote worker")
+		}
 		runErr = runSharded(ctx, out, *remote, *shards, src, opts, *node, *format, *timeout)
 	case *remote != "":
-		runErr = runRemote(ctx, out, *remote, src, opts, *node, *format, *timeout, trace)
+		runErr = runRemote(ctx, out, *remote, src, vars, opts, *node, *format, *timeout, trace)
 	case *mcRuns > 0:
 		runErr = runMC(ctx, out, ckt, opts, *mcRuns, *mcSeed, sigmas)
 	default:
@@ -443,13 +449,14 @@ func runMC(ctx context.Context, out io.Writer, ckt *netlist.Circuit, opts tool.O
 	return nil
 }
 
-// runRemote ships the job to an acstabd farm worker. A -timeout is
+// runRemote ships the job to an acstabd farm worker, with the
+// design-variable overrides as the request's Variables. A -timeout is
 // forwarded as the job's timeout_ms so the worker enforces the same
 // deadline server-side. The submission runs traced: the worker's phase
 // spans and solver counters come back over the wire and land in this
 // process's run trace, so -stats/-trace-json/-trace-chrome show the
 // remote flatten/op/sweep/stability work as if it ran locally.
-func runRemote(ctx context.Context, out io.Writer, url, src string, opts tool.Options,
+func runRemote(ctx context.Context, out io.Writer, url, src string, vars map[string]float64, opts tool.Options,
 	node, format string, timeout time.Duration, trace *obs.Run) error {
 	c := &farm.Client{BaseURL: strings.TrimRight(url, "/")}
 	body, err := c.SubmitTraced(ctx, &farm.Request{
@@ -457,18 +464,8 @@ func runRemote(ctx context.Context, out io.Writer, url, src string, opts tool.Op
 		Format:    format,
 		Node:      node,
 		TimeoutMS: timeout.Milliseconds(),
-		Options: farm.RequestOptions{
-			FStartHz:              opts.FStart,
-			FStopHz:               opts.FStop,
-			PointsPerDecade:       opts.PointsPerDecade,
-			CoarsePointsPerDecade: opts.CoarsePointsPerDecade,
-			RefinePointsPerDecade: opts.RefinePointsPerDecade,
-			RefineThreshold:       opts.RefineThreshold,
-			LoopTol:               opts.LoopTol,
-			Workers:               opts.Workers,
-			Naive:                 opts.Naive,
-			SkipNodes:             opts.SkipNodes,
-		},
+		Options:   farm.WireOptions(opts),
+		Variables: vars,
 	}, trace)
 	if err != nil {
 		return err
@@ -521,8 +518,9 @@ func runSharded(ctx context.Context, out io.Writer, remotes string, shards int, 
 // the whole batch ships as one wire-v2 submission (per-item errors and
 // retries handled by SubmitBatch); locally the corners run through the
 // same batch executor against a process-local cache, so corner 2 of an
-// unchanged variable set skips flatten/compile entirely.
-func runCorners(ctx context.Context, out io.Writer, remote, src string, opts tool.Options,
+// unchanged variable set skips flatten/compile entirely. The -set and
+// -state overrides are the batch-level Variables under every corner's own.
+func runCorners(ctx context.Context, out io.Writer, remote, src string, vars map[string]float64, opts tool.Options,
 	node, format string, timeout time.Duration, trace *obs.Run, path string) error {
 	variants, err := parseCorners(path)
 	if err != nil {
@@ -536,19 +534,9 @@ func runCorners(ctx context.Context, out io.Writer, remote, src string, opts too
 			Format:    format,
 			Node:      node,
 			TimeoutMS: timeout.Milliseconds(),
-			Options: farm.RequestOptions{
-				FStartHz:              opts.FStart,
-				FStopHz:               opts.FStop,
-				PointsPerDecade:       opts.PointsPerDecade,
-				CoarsePointsPerDecade: opts.CoarsePointsPerDecade,
-				RefinePointsPerDecade: opts.RefinePointsPerDecade,
-				RefineThreshold:       opts.RefineThreshold,
-				LoopTol:               opts.LoopTol,
-				Workers:               opts.Workers,
-				Naive:                 opts.Naive,
-				SkipNodes:             opts.SkipNodes,
-			},
-			Variants: variants,
+			Options:   farm.WireOptions(opts),
+			Variables: vars,
+			Variants:  variants,
 		})
 		for _, r := range results {
 			printCorner(out, r.Label, r.CacheHit, r.DurationMS, r.Body, r.Err)
@@ -556,7 +544,7 @@ func runCorners(ctx context.Context, out io.Writer, remote, src string, opts too
 		return err
 	}
 	cache := farm.NewCache(0)
-	req := &farm.BatchRequest{Netlist: src, Format: format, Node: node, Variants: variants}
+	req := &farm.BatchRequest{Netlist: src, Format: format, Node: node, Variables: vars, Variants: variants}
 	return farm.RunBatch(ctx, cache, req, opts, timeout, trace, func(it farm.BatchItem) {
 		var err error
 		if it.Error != nil {

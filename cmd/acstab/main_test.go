@@ -602,3 +602,124 @@ func TestShardedCLI(t *testing.T) {
 		t.Error("-corners with a worker fleet should fail")
 	}
 }
+
+// TestRemoteOptionsParity: -remote runs carry -subckt scoping and the
+// -set / -state design-variable overrides to the worker, so the remote
+// report is byte-identical to the local one (both used to be dropped
+// silently). A sharded run refuses overrides it cannot carry.
+func TestRemoteOptionsParity(t *testing.T) {
+	srv := httptest.NewServer(farm.NewHandler(farm.Config{Log: obs.NewEventLogger(nil)}))
+	defer srv.Close()
+	path := writeNetlist(t, `scoped tanks
+.param rq=318
+.subckt tank t
+R1 t 0 {rq}
+L1 t 0 25.33u
+C1 t 0 1n
+.ends
+X1 a tank
+X2 b tank
+R9 a b 1e6
+Rg a 0 1e6
+`)
+	// A state file overriding rq the way -save-state writes one.
+	state := filepath.Join(t.TempDir(), "st.json")
+	if err := run([]string{"-i", path, "-set", "rq=2k", "-save-state", state}, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	var nominal bytes.Buffer
+	if err := run([]string{"-i", path}, &nominal); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-subckt", "x1"},
+		{"-set", "rq=1k"},
+		{"-state", state},
+	} {
+		var local, remote bytes.Buffer
+		if err := run(append([]string{"-i", path}, args...), &local); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(append([]string{"-i", path, "-remote", srv.URL}, args...), &remote); err != nil {
+			t.Fatal(err)
+		}
+		if local.String() == nominal.String() {
+			t.Errorf("%v: local run matches the nominal one; the option had no effect", args)
+		}
+		if remote.String() != local.String() {
+			t.Errorf("%v: remote report differs from local\n--- remote ---\n%s\n--- local ---\n%s",
+				args, remote.String(), local.String())
+		}
+	}
+	fleet := srv.URL + "," + srv.URL
+	if err := run([]string{"-i", path, "-set", "rq=1k", "-remote", fleet}, &bytes.Buffer{}); err == nil ||
+		!strings.Contains(err.Error(), "sharded") {
+		t.Errorf("sharded run with overrides: err = %v, want a refusal", err)
+	}
+}
+
+// overrideDeck is a deck whose design variables feed an expression-valued
+// resistor, a MOSFET width and a source's DC level.
+func overrideDeck(rval, w, vdd string) string {
+	return `override deck
+.param rval=` + rval + ` w=` + w + ` vdd=` + vdd + `
+.model nch nmos vto=0.7 kp=100u lambda=0.04
+VDD vdd 0 dc {vdd}
+RD vdd d 10k
+M1 d g 0 0 nch w={w} l=1u
+RG1 vdd g 100k
+RG2 g 0 50k
+CD d 0 1p
+R1 t 0 {2*rval}
+L1 t 0 25.33u
+C1 t 0 1n
+`
+}
+
+// TestSetOverrideReachesFlatten: a -set override of a variable behind an
+// element expression, a {w} MOSFET parameter or a dc {vdd} source level
+// prints exactly the report of a deck with that value as its .param
+// default — locally (JSON, which carries every node's peaks), and in a
+// local -corners batch.
+func TestSetOverrideReachesFlatten(t *testing.T) {
+	base := writeNetlist(t, overrideDeck("500", "10u", "3"))
+	corners := writeCorners(t, "only\n")
+	// body strips the corner banner, which carries a wall time.
+	body := func(s string) string {
+		_, rest, _ := strings.Cut(s, "===\n")
+		return rest
+	}
+	var nominal bytes.Buffer
+	if err := run([]string{"-i", base, "-format", "json"}, &nominal); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ set, deck string }{
+		{"rval=2000", overrideDeck("2000", "10u", "3")},
+		{"w=20u", overrideDeck("500", "20u", "3")},
+		{"vdd=5", overrideDeck("500", "10u", "5")},
+	} {
+		lit := writeNetlist(t, tc.deck)
+		var want, got, wantC, gotC bytes.Buffer
+		if err := run([]string{"-i", lit, "-format", "json"}, &want); err != nil {
+			t.Fatal(err)
+		}
+		if want.String() == nominal.String() {
+			t.Fatalf("%s does not change the report", tc.set)
+		}
+		if err := run([]string{"-i", base, "-format", "json", "-set", tc.set}, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("-set %s:\n%s\nwant (literal deck)\n%s", tc.set, got.String(), want.String())
+		}
+		if err := run([]string{"-i", lit, "-format", "json", "-corners", corners}, &wantC); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"-i", base, "-format", "json", "-set", tc.set, "-corners", corners}, &gotC); err != nil {
+			t.Fatal(err)
+		}
+		if body(gotC.String()) != body(wantC.String()) {
+			t.Errorf("-set %s -corners:\n%s\nwant (literal deck)\n%s", tc.set, gotC.String(), wantC.String())
+		}
+	}
+}

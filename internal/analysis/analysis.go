@@ -1061,9 +1061,10 @@ func (s *Sim) acSweep(ctx context.Context, freqs []float64, op *mna.OpPoint, rhs
 // ImpedanceMatrixColumns computes driving-point impedances: for every
 // frequency it factors the AC matrix once and back-substitutes one RHS per
 // requested node (unit current injection), returning Z[nodeIdxInList][freq].
-// This is the shared-factorization fast path of the all-nodes stability
-// sweep; the naive alternative (one full AC analysis per node) is kept in
-// the tool package for the ablation benchmark. The factorization itself is
+// Off-diagonal consumers use it; the all-nodes stability sweep reads only
+// driving-point entries and runs ImpedanceDiagSweep instead (the
+// per-node alternative, one full AC analysis per node, survives only as
+// the ablation benchmark). The factorization itself is
 // the two-phase kind: the pivot order and fill pattern come from the
 // Sim-shared symbolic analysis and each frequency only refills
 // preallocated numeric arrays, so the steady-state loop body performs no

@@ -120,6 +120,11 @@ func TestWireVersionAndUnknownFields(t *testing.T) {
 	if code != http.StatusBadRequest || !strings.Contains(body, CodeBadJSON) {
 		t.Errorf("unknown field: status %d, body %q", code, body)
 	}
+	// The retired naive sweep knob is an unknown option like any other.
+	code, body = postJSON(t, srv, `{"netlist": "x", "options": {"naive": true}}`)
+	if code != http.StatusBadRequest || !strings.Contains(body, CodeBadJSON) {
+		t.Errorf("naive option: status %d, body %q", code, body)
+	}
 }
 
 func TestDeadlineExceededSurfacesInMetrics(t *testing.T) {

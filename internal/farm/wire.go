@@ -95,15 +95,9 @@ func (o RequestOptions) Normalize() (tool.Options, error) {
 		}
 		opts.RefineThreshold = o.RefineThreshold
 	}
-	if opts.CoarsePointsPerDecade > 0 {
-		if o.Naive {
-			return opts, &FieldError{Field: "coarse_points_per_decade",
-				Reason: "adaptive sweeps and naive mode are mutually exclusive"}
-		}
-		if opts.RefinePointsPerDecade > 0 && opts.RefinePointsPerDecade < opts.CoarsePointsPerDecade {
-			return opts, &FieldError{Field: "refine_points_per_decade",
-				Reason: fmt.Sprintf("must be >= coarse_points_per_decade (%d)", opts.CoarsePointsPerDecade)}
-		}
+	if opts.CoarsePointsPerDecade > 0 && opts.RefinePointsPerDecade > 0 && opts.RefinePointsPerDecade < opts.CoarsePointsPerDecade {
+		return opts, &FieldError{Field: "refine_points_per_decade",
+			Reason: fmt.Sprintf("must be >= coarse_points_per_decade (%d)", opts.CoarsePointsPerDecade)}
 	}
 	if o.LoopTol < 0 {
 		return opts, &FieldError{Field: "loop_tol", Reason: "must be >= 0 (0 = server default)"}
@@ -122,11 +116,31 @@ func (o RequestOptions) Normalize() (tool.Options, error) {
 	if max := MaxWireWorkers(); opts.Workers > max {
 		opts.Workers = max
 	}
-	opts.Naive = o.Naive
 	opts.SkipNodes = o.SkipNodes
 	opts.OnlyNodes = o.OnlyNodes
 	opts.OnlySubckt = o.OnlySubckt
 	return opts, nil
+}
+
+// WireOptions is the inverse of Normalize: it maps run options onto the
+// wire, so every submission that ships a run (the CLI's -remote and
+// -corners paths, the shard coordinator) carries the same fields.
+// Options the wire has no field for (Stab, Analysis, AutoZeroAC, Trace)
+// take the worker's defaults.
+func WireOptions(opts tool.Options) RequestOptions {
+	return RequestOptions{
+		FStartHz:              opts.FStart,
+		FStopHz:               opts.FStop,
+		PointsPerDecade:       opts.PointsPerDecade,
+		CoarsePointsPerDecade: opts.CoarsePointsPerDecade,
+		RefinePointsPerDecade: opts.RefinePointsPerDecade,
+		RefineThreshold:       opts.RefineThreshold,
+		LoopTol:               opts.LoopTol,
+		Workers:               opts.Workers,
+		SkipNodes:             opts.SkipNodes,
+		OnlyNodes:             opts.OnlyNodes,
+		OnlySubckt:            opts.OnlySubckt,
+	}
 }
 
 // MaxWireWorkers is the server-side ceiling on the wire-supplied sweep

@@ -2,6 +2,9 @@ package farm
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -17,13 +20,54 @@ func TestNormalizeDefaults(t *testing.T) {
 	// Explicit values pass through (Workers: 1 is under the wire cap on
 	// any machine).
 	opts, err = (RequestOptions{FStartHz: 10, FStopHz: 1e6, PointsPerDecade: 7,
-		Workers: 1, Naive: true, SkipNodes: []string{"x"}}).Normalize()
+		Workers: 1, SkipNodes: []string{"x"}}).Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if opts.FStart != 10 || opts.FStop != 1e6 || opts.PointsPerDecade != 7 ||
-		opts.Workers != 1 || !opts.Naive || len(opts.SkipNodes) != 1 {
+		opts.Workers != 1 || len(opts.SkipNodes) != 1 {
 		t.Errorf("explicit options mangled: %+v", opts)
+	}
+}
+
+// TestWireOptionsRoundTrip pins WireOptions as the inverse of
+// Normalize: for any valid wire options, normalizing and mapping back
+// returns every wire field unchanged, so a CLI or coordinator submission
+// runs exactly the options its caller holds.
+func TestWireOptionsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	names := func() []string {
+		var out []string
+		for i := rng.Intn(3); i > 0; i-- {
+			out = append(out, fmt.Sprintf("n%d", rng.Intn(100)))
+		}
+		return out
+	}
+	for i := 0; i < 500; i++ {
+		in := RequestOptions{
+			FStartHz:        float64(1 + rng.Intn(1000)),
+			FStopHz:         float64(2000 + rng.Intn(1e9)),
+			PointsPerDecade: 1 + rng.Intn(100),
+			LoopTol:         rng.Float64(),
+			Workers:         rng.Intn(MaxWireWorkers() + 1),
+			SkipNodes:       names(),
+			OnlyNodes:       names(),
+		}
+		if rng.Intn(2) == 0 {
+			in.OnlySubckt = fmt.Sprintf("x%d", rng.Intn(4))
+		}
+		if rng.Intn(2) == 0 {
+			in.CoarsePointsPerDecade = 1 + rng.Intn(20)
+			in.RefinePointsPerDecade = in.CoarsePointsPerDecade + rng.Intn(100)
+			in.RefineThreshold = rng.Float64()
+		}
+		opts, err := in.Normalize()
+		if err != nil {
+			t.Fatalf("%+v: %v", in, err)
+		}
+		if out := WireOptions(opts); !reflect.DeepEqual(out, in) {
+			t.Fatalf("round trip changed the wire options:\n in  %+v\n out %+v", in, out)
+		}
 	}
 }
 

@@ -421,23 +421,13 @@ func (c *Coordinator) runShard(ctx context.Context, run *obs.Run, src, traceID s
 // subckt filters are intentionally absent: planning already applied
 // them, and the explicit exact-match node list is the shard spec.
 func (c *Coordinator) shardRequest(src, traceID string, opts tool.Options, nodes []string) *farm.Request {
+	opts.SkipNodes, opts.OnlySubckt, opts.OnlyNodes = nil, "", nodes
 	return &farm.Request{
 		Netlist:   src,
 		Format:    "json",
 		TimeoutMS: c.cfg.Timeout.Milliseconds(),
 		TraceID:   traceID,
-		Options: farm.RequestOptions{
-			FStartHz:              opts.FStart,
-			FStopHz:               opts.FStop,
-			PointsPerDecade:       opts.PointsPerDecade,
-			CoarsePointsPerDecade: opts.CoarsePointsPerDecade,
-			RefinePointsPerDecade: opts.RefinePointsPerDecade,
-			RefineThreshold:       opts.RefineThreshold,
-			LoopTol:               opts.LoopTol,
-			Workers:               opts.Workers,
-			Naive:                 opts.Naive,
-			OnlyNodes:             nodes,
-		},
+		Options:   farm.WireOptions(opts),
 	}
 }
 

@@ -22,11 +22,8 @@ package tool
 
 import (
 	"context"
-	"errors"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"acstab/internal/acerr"
 	"acstab/internal/analysis"
@@ -252,12 +249,13 @@ func (t *Tool) adaptiveColumns(ctx context.Context, op *mna.OpPoint, idx []int) 
 }
 
 // solveRound sweeps one refinement round: all refining nodes over the
-// union frequency list, chunked across the worker pool by node the same
-// way the dense sweep is, then each node's wanted subset merged into its
-// arrays. One sweep per worker-chunk means the numeric workspace is built
-// once per round per worker, not once per distinct want-list.
+// union frequency list, chunked across the sweep workers by node, then
+// each node's wanted subset merged into its arrays. One sweep per chunk
+// means the numeric workspace is built once per round per worker, not
+// once per distinct want-list.
 func (t *Tool) solveRound(ctx context.Context, op *mna.OpPoint, idx []int, refiners []refiner, union []float64, grids []nodeGrid) error {
-	solve := func(sim *analysis.Sim, chunk []refiner) error {
+	return t.fanOut(ctx, len(refiners), func(ctx context.Context, sim *analysis.Sim, lo, hi int) error {
+		chunk := refiners[lo:hi]
 		nodes := make([]int, len(chunk))
 		for ci, r := range chunk {
 			nodes[ci] = idx[r.i]
@@ -270,49 +268,5 @@ func (t *Tool) solveRound(ctx context.Context, op *mna.OpPoint, idx []int, refin
 			grids[r.i].merge(r, subsetVals(union, sub[ci], r.want))
 		}
 		return nil
-	}
-	workers := t.Opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(refiners) {
-		workers = len(refiners)
-	}
-	if workers <= 1 {
-		mWorkersBusy.Inc()
-		defer mWorkersBusy.Dec()
-		return solve(t.Sim, refiners)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errCh := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*len(refiners)/workers, (w+1)*len(refiners)/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(chunk []refiner) {
-			defer wg.Done()
-			mWorkersBusy.Inc()
-			defer mWorkersBusy.Dec()
-			if err := acerr.Ctx(ctx); err != nil {
-				return
-			}
-			if err := solve(t.Sim.Fork(), chunk); err != nil {
-				errCh <- err
-				cancel()
-			}
-		}(refiners[lo:hi])
-	}
-	wg.Wait()
-	close(errCh)
-	var firstErr error
-	for err := range errCh {
-		if firstErr == nil || (errors.Is(firstErr, acerr.ErrCanceled) && !errors.Is(err, acerr.ErrCanceled)) {
-			firstErr = err
-		}
-	}
-	return firstErr
+	})
 }

@@ -178,8 +178,8 @@ func TestAdaptiveSingleNode(t *testing.T) {
 
 // TestAdaptiveOptionValidation pins the satellite flag-validation
 // contract: negative grid knobs, refine caps below the coarse resolution
-// or above the unbounded-refinement guard, and naive+adaptive are all
-// rejected at Tool construction.
+// or above the unbounded-refinement guard are all rejected at Tool
+// construction.
 func TestAdaptiveOptionValidation(t *testing.T) {
 	base := DefaultOptions()
 	cases := []struct {
@@ -196,10 +196,6 @@ func TestAdaptiveOptionValidation(t *testing.T) {
 		{"unbounded refine", func(o *Options) {
 			o.CoarsePointsPerDecade = 8
 			o.RefinePointsPerDecade = 20000
-		}},
-		{"naive adaptive", func(o *Options) {
-			o.CoarsePointsPerDecade = 8
-			o.Naive = true
 		}},
 	}
 	ckt, _, _ := randomTankLadder(rand.New(rand.NewSource(1)), 1)

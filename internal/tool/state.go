@@ -21,7 +21,6 @@ type State struct {
 	PointsPerDecade int                `json:"points_per_decade"`
 	LoopTol         float64            `json:"loop_tol"`
 	Workers         int                `json:"workers"`
-	Naive           bool               `json:"naive,omitempty"`
 	SkipNodes       []string           `json:"skip_nodes,omitempty"`
 	TempC           *float64           `json:"temp_c,omitempty"`
 	Variables       map[string]float64 `json:"variables,omitempty"`
@@ -40,7 +39,6 @@ func CaptureState(ckt *netlist.Circuit, opts Options) *State {
 		PointsPerDecade: opts.PointsPerDecade,
 		LoopTol:         opts.LoopTol,
 		Workers:         opts.Workers,
-		Naive:           opts.Naive,
 		SkipNodes:       append([]string(nil), opts.SkipNodes...),
 	}
 	if ckt != nil {
@@ -76,7 +74,8 @@ func LoadState(r io.Reader) (*State, error) {
 }
 
 // Apply merges the state into run options and (when vars is true) the
-// circuit's design variables, re-evaluating dependent element values.
+// circuit's temperature and design variables. Element values that depend
+// on the variables are evaluated when the circuit is flattened.
 func (s *State) Apply(ckt *netlist.Circuit, opts *Options, vars bool) error {
 	if s.FStart > 0 {
 		opts.FStart = s.FStart
@@ -91,7 +90,6 @@ func (s *State) Apply(ckt *netlist.Circuit, opts *Options, vars bool) error {
 		opts.LoopTol = s.LoopTol
 	}
 	opts.Workers = s.Workers
-	opts.Naive = s.Naive
 	if len(s.SkipNodes) > 0 {
 		opts.SkipNodes = append([]string(nil), s.SkipNodes...)
 	}
@@ -106,11 +104,6 @@ func (s *State) Apply(ckt *netlist.Circuit, opts *Options, vars bool) error {
 			return fmt.Errorf("tool: state variable %q not in circuit", k)
 		}
 		ckt.Params[k] = v
-	}
-	for _, e := range ckt.Elems {
-		if err := reevaluate(e, ckt.Params); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -135,10 +128,7 @@ func RunParamSweep(ctx context.Context, ckt *netlist.Circuit, opts Options, para
 	out := make([]ParamSweepPoint, len(sorted))
 	for i, v := range sorted {
 		out[i].Value = v
-		rep, err := runOneCorner(ctx, ckt, opts, Corner{
-			Name:   fmt.Sprintf("%s=%g", param, v),
-			Params: map[string]float64{param: v},
-		})
+		rep, err := runVariant(ctx, ckt, opts, map[string]float64{param: v}, nil)
 		out[i].Report = rep
 		out[i].Err = err
 	}

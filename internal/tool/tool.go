@@ -64,10 +64,6 @@ type Options struct {
 	// Workers sets the parallel worker count for the all-nodes sweep
 	// (0 = GOMAXPROCS, 1 = serial).
 	Workers int
-	// Naive forces one independent AC sweep per node (the paper's
-	// original flow) instead of sharing one factorization per frequency
-	// across all injection nodes. Kept for the ablation benchmark.
-	Naive bool
 	// AutoZeroAC disables pre-existing AC stimuli before the run
 	// (default true, matching the tool's feature list).
 	AutoZeroAC bool
@@ -355,7 +351,7 @@ func (t *Tool) subcktNodes(prefix string) map[string]bool {
 // AllNodes runs the "All Nodes" mode: every non-ground node is probed and
 // the results clustered into loops. The sweep shares one matrix
 // factorization per frequency across all nodes and distributes frequency
-// points over a worker pool unless Options.Naive is set.
+// points over the sweep worker pool.
 //
 // A canceled (or deadline-expired) ctx aborts the run within one linear
 // solve: the operating-point Newton loop, every sweep worker, and the
@@ -393,11 +389,7 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 		mSweepPoints.Add(int64(len(freqs)))
 		t.Opts.Trace.Add("sweep_freq_points", int64(len(freqs)))
 		sp := obs.StartPhase(t.Opts.Trace, "sweep")
-		if t.Opts.Naive {
-			cols, err = t.naiveColumns(ctx, freqs, op, idx)
-		} else {
-			cols, err = t.parallelColumns(ctx, freqs, op, idx)
-		}
+		cols, err = t.parallelColumns(ctx, freqs, op, idx)
 		sp.End()
 		if err != nil {
 			return nil, err
@@ -438,102 +430,92 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 }
 
 // parallelColumns computes impedance columns with frequency points
-// distributed across workers; within each frequency one factorization
-// serves every injection node. The first worker failure cancels the
-// remaining workers so a dying run releases its CPUs promptly.
+// distributed across the sweep workers; within each frequency one
+// factorization serves every injection node.
 func (t *Tool) parallelColumns(ctx context.Context, freqs []float64, op *mna.OpPoint, idx []int) ([][]complex128, error) {
-	workers := t.Opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	var cols [][]complex128
+	parallel := t.sweepWorkers(len(freqs)) > 1
+	if parallel {
+		// Fix the pivot order at the grid's first frequency before the
+		// workers race to build it at their own chunk's.
+		t.Sim.PrepareAC(2*math.Pi*freqs[0], op)
+		cols = make([][]complex128, len(idx))
+		for i := range cols {
+			cols[i] = make([]complex128, len(freqs))
+		}
 	}
-	if workers > len(freqs) {
-		workers = len(freqs)
-	}
-	cols := make([][]complex128, len(idx))
-	for i := range cols {
-		cols[i] = make([]complex128, len(freqs))
-	}
-	if workers <= 1 {
-		mWorkersBusy.Inc()
-		got, err := t.Sim.ImpedanceDiagSweep(ctx, freqs, op, idx)
-		mWorkersBusy.Dec()
+	// Only driving-point entries are consumed here, so the diagonal sweep
+	// applies.
+	err := t.fanOut(ctx, len(freqs), func(ctx context.Context, sim *analysis.Sim, lo, hi int) error {
+		sub, err := sim.ImpedanceDiagSweep(ctx, freqs[lo:hi], op, idx)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return got, nil
-	}
-	// Fix the pivot order at the grid's first frequency before the
-	// workers race to build it at their own chunk's.
-	t.Sim.PrepareAC(2*math.Pi*freqs[0], op)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	chunk := (len(freqs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(freqs) {
-			hi = len(freqs)
+		if !parallel {
+			cols = sub
+			return nil
 		}
-		if lo >= hi {
-			continue
+		for i := range idx {
+			copy(cols[i][lo:hi], sub[i])
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			mWorkersBusy.Inc()
-			defer mWorkersBusy.Dec()
-			// Each worker needs its own Sim wrapper: the impedance sweep
-			// owns per-sweep numeric workspaces, and the shared System is
-			// read-only during AC stamping. Fork shares the symbolic
-			// analysis cache — and with it the selected-inverse schedule —
-			// so the pivot order, fill pattern, and schedule are computed
-			// once and reused read-only by every worker. The trace is shared:
-			// obs.Run is concurrency-safe. Only driving-point entries are
-			// consumed here, so the diagonal sweep applies.
-			sim := t.Sim.Fork()
-			sub, err := sim.ImpedanceDiagSweep(ctx, freqs[lo:hi], op, idx)
-			if err != nil {
-				errCh <- err
-				cancel()
-				return
-			}
-			for i := range idx {
-				copy(cols[i][lo:hi], sub[i])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	close(errCh)
-	// Report the root cause: a real solver failure beats the secondary
-	// cancellation errors it induced in sibling workers.
-	var firstErr error
-	for err := range errCh {
-		if firstErr == nil || (errors.Is(firstErr, acerr.ErrCanceled) && !errors.Is(err, acerr.ErrCanceled)) {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return cols, nil
 }
 
-// naiveColumns mimics the paper's original flow: one complete AC sweep per
-// node, each refactoring the matrix at every frequency. The single worker
-// toggles the busy gauge just like the parallel path, so -naive runs
-// report their activity in /statusz instead of a constant zero.
-func (t *Tool) naiveColumns(ctx context.Context, freqs []float64, op *mna.OpPoint, idx []int) ([][]complex128, error) {
-	mWorkersBusy.Inc()
-	defer mWorkersBusy.Dec()
-	cols := make([][]complex128, len(idx))
-	for i, nodeIdx := range idx {
-		got, err := t.Sim.ImpedanceDiagSweep(ctx, freqs, op, []int{nodeIdx})
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = got[0]
+// sweepWorkers is the number of chunks fanOut splits n items into:
+// Options.Workers (0 = GOMAXPROCS), at most n.
+func (t *Tool) sweepWorkers(n int) int {
+	w := t.Opts.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
-	return cols, nil
+	return min(w, n)
+}
+
+// fanOut is the tool's one sweep worker pool: it splits n items into
+// sweepWorkers(n) contiguous [lo, hi) chunks and runs work on each. The
+// dense sweep splits frequency points, an adaptive refinement round
+// splits nodes. A single chunk runs on t.Sim itself, so serial runs keep
+// its cached workspace from one call to the next; parallel chunks each
+// run on a Fork, which shares the symbolic analysis (pivot order, fill
+// pattern, selected-inverse schedule) read-only but owns its numeric
+// workspace. Every chunk holds the busy gauge while it runs. The first
+// failing chunk cancels the others so a dying run releases its CPUs
+// promptly, and the root cause is reported: a real failure beats the
+// cancellation errors it induced in sibling chunks.
+func (t *Tool) fanOut(ctx context.Context, n int, work func(ctx context.Context, sim *analysis.Sim, lo, hi int) error) error {
+	k := t.sweepWorkers(n)
+	if k <= 1 {
+		mWorkersBusy.Inc()
+		defer mWorkersBusy.Dec()
+		return work(ctx, t.Sim, 0, n)
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for w := range k {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mWorkersBusy.Inc()
+			defer mWorkersBusy.Dec()
+			if err := work(ctx, t.Sim.Fork(), w*n/k, (w+1)*n/k); err != nil {
+				errs[w] = err
+				cancel()
+			}
+		}()
+	}
+	wg.Wait()
+	var first error
+	for _, err := range errs {
+		if first == nil || (errors.Is(first, acerr.ErrCanceled) && err != nil && !errors.Is(err, acerr.ErrCanceled)) {
+			first = err
+		}
+	}
+	return first
 }

@@ -173,30 +173,37 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestNaiveMatchesShared(t *testing.T) {
-	mk := func(naive bool) *Report {
-		opts := DefaultOptions()
-		opts.Naive = naive
-		opts.PointsPerDecade = 20 // keep the naive run quick
-		tl, err := New(circuits.BiasCircuit(circuits.BiasDefaults()), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := tl.AllNodes(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+// TestNodeSubsetIndependence: a node's driving-point impedance must not
+// depend on which other nodes share its sweep. Each node's column from
+// one all-nodes diag sweep matches a one-node sweep of that node within
+// 1e-9; sharded merges and adaptive node chunks rely on it.
+func TestNodeSubsetIndependence(t *testing.T) {
+	ctx := context.Background()
+	opts := DefaultOptions()
+	opts.PointsPerDecade = 20
+	tl, err := New(circuits.BiasCircuit(circuits.BiasDefaults()), opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	shared := mk(false)
-	naive := mk(true)
-	for i := range shared.Nodes {
-		a, b := shared.Nodes[i], naive.Nodes[i]
-		if a.Best == nil != (b.Best == nil) {
-			t.Fatalf("node %s best mismatch", a.Node)
+	op, err := tl.ensureOP(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, names := tl.nodeList()
+	freqs := tl.Grid()
+	all, err := tl.Sim.ImpedanceDiagSweep(ctx, freqs, op, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range idx {
+		one, err := tl.Sim.Fork().ImpedanceDiagSweep(ctx, freqs, op, []int{k})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if a.Best != nil && cmplx.Abs(complex(a.Best.Value-b.Best.Value, 0)) > 1e-9 {
-			t.Fatalf("node %s: %g vs %g", a.Node, a.Best.Value, b.Best.Value)
+		for j, z := range one[0] {
+			if d := cmplx.Abs(z - all[i][j]); d > 1e-9*cmplx.Abs(all[i][j])+1e-18 {
+				t.Fatalf("node %s at %g Hz: one-node %v, all-nodes %v", names[i], freqs[j], z, all[i][j])
+			}
 		}
 	}
 }
@@ -216,47 +223,6 @@ func TestSkipNodesFilter(t *testing.T) {
 		if n.Node == "net066x" {
 			t.Error("filtered node still present")
 		}
-	}
-}
-
-func TestRunCorners(t *testing.T) {
-	// Parameterized tank: rval controls damping.
-	src := `param tank
-.param rval=500
-R1 t 0 {rval}
-L1 t 0 25.33u
-C1 t 0 1n
-`
-	c, err := netlist.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.FStart, opts.FStop = 1e4, 1e8
-	res := RunCorners(context.Background(), c, opts, []Corner{
-		{Name: "nom"},
-		{Name: "light", Params: map[string]float64{"rval": 2000}},
-		{Name: "bad", Params: map[string]float64{"nosuch": 1}},
-	})
-	if res[0].Err != nil || res[1].Err != nil {
-		t.Fatalf("corner errors: %v %v", res[0].Err, res[1].Err)
-	}
-	if res[2].Err == nil {
-		t.Error("unknown design variable should fail")
-	}
-	// Higher R means lighter damping: deeper peak.
-	w0 := WorstLoop(res[0].Report)
-	w1 := WorstLoop(res[1].Report)
-	if w0 == nil || w1 == nil {
-		t.Fatal("missing loops")
-	}
-	if !(w1.WorstPeak < w0.WorstPeak) {
-		t.Errorf("light corner peak %g should be deeper than nominal %g",
-			w1.WorstPeak, w0.WorstPeak)
-	}
-	// Original circuit untouched.
-	if c.Params["rval"] != 500 {
-		t.Error("corner run mutated the source circuit")
 	}
 }
 
