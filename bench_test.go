@@ -243,31 +243,6 @@ func BenchmarkAblationGridResolution(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStencil compares the 3-point and 5-point derivative
-// schemes (A5).
-func BenchmarkAblationStencil(b *testing.B) {
-	for _, stencil := range []int{3, 5} {
-		b.Run("stencil-"+itoa(stencil), func(b *testing.B) {
-			opts := tool.DefaultOptions()
-			opts.Stab = stab.Options{Stencil: stencil, MinPeakDepth: 0.75}
-			tl, err := tool.New(circuits.SecondOrder(0.186, 3.16e6), opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var errPct float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				nr, err := tl.SingleNode(context.Background(), "t")
-				if err != nil {
-					b.Fatal(err)
-				}
-				errPct = 100 * abs(nr.Best.Value+28.905) / 28.905
-			}
-			b.ReportMetric(errPct, "peak_err_%")
-		})
-	}
-}
-
 // benchSummaryRow is one line of the perf-trajectory summary file.
 type benchSummaryRow struct {
 	Op          string  `json:"op"`

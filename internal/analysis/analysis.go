@@ -184,7 +184,7 @@ func New(sys *mna.System) *Sim {
 // Fork returns a Sim sharing the compiled system, options, trace, and the
 // cached AC symbolic analysis, for concurrent sweep workers: the shared
 // pieces are read-only or internally locked, while per-worker numeric
-// workspaces stay private to each ImpedanceMatrixColumns/AC call.
+// workspaces stay private to each sweep call.
 func (s *Sim) Fork() *Sim {
 	return &Sim{Sys: s.Sys, Opt: s.Opt, Trace: s.Trace, ac: s.acShared()}
 }
@@ -1012,7 +1012,7 @@ func (s *Sim) ACResponse(ctx context.Context, freqs []float64, op *mna.OpPoint, 
 	return s.acSweep(ctx, freqs, op, rhs)
 }
 
-// acSweep is the shared loop of AC and ACResponse: a nil rhs takes the
+// acSweep is the shared body of AC and ACResponse: a nil rhs takes the
 // circuit's own AC sources, recorded once with the pencil, as the
 // excitation.
 func (s *Sim) acSweep(ctx context.Context, freqs []float64, op *mna.OpPoint, rhs []complex128) ([][]complex128, error) {
@@ -1023,15 +1023,40 @@ func (s *Sim) acSweep(ctx context.Context, freqs []float64, op *mna.OpPoint, rhs
 	}
 	fz := s.newACFactorizer(2*math.Pi*freqs[0], op)
 	defer fz.flush()
-	slow := newSlowTracker(s.Trace)
-	defer slow.flush(s.Trace)
 	b := rhs
 	if b == nil {
 		b = fz.pen.b
 	}
+	err := fz.sweep(ctx, freqs, "AC", func(k int, f float64, slv *sparse.Numeric) (string, error) {
+		x := make([]complex128, n)
+		if err := slv.SolveInto(x, b); err != nil {
+			return "", fmt.Errorf("analysis: AC at %g Hz: %w", f, err)
+		}
+		fz.solves++
+		if _, err := fz.verify(slv, f, x, b); err != nil {
+			return "", err
+		}
+		sol[k] = x
+		return fz.kind, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return sol, nil
+}
+
+// sweep is the per-frequency driver of every AC sweep: for each point it
+// checks ctx, fills and factors the system (fz.at), runs the caller's
+// point body on the factorization, takes the sampled condition estimate
+// and notes the point's wall time under the solver-path tag the body
+// returns. what names the sweep in factorization errors. A canceled ctx
+// aborts between frequency points.
+func (fz *acFactorizer) sweep(ctx context.Context, freqs []float64, what string, point func(k int, f float64, slv *sparse.Numeric) (string, error)) error {
+	slow := newSlowTracker(fz.s.Trace)
+	defer slow.flush(fz.s.Trace)
 	for k, f := range freqs {
 		if err := acerr.Ctx(ctx); err != nil {
-			return nil, err
+			return err
 		}
 		var t0 time.Time
 		if slow != nil {
@@ -1039,37 +1064,28 @@ func (s *Sim) acSweep(ctx context.Context, freqs []float64, op *mna.OpPoint, rhs
 		}
 		slv, err := fz.at(2 * math.Pi * f)
 		if err != nil {
-			return nil, fmt.Errorf("analysis: AC at %g Hz: %w", f, err)
+			return fmt.Errorf("analysis: %s at %g Hz: %w", what, f, err)
 		}
-		x := make([]complex128, n)
-		if err := slv.SolveInto(x, b); err != nil {
-			return nil, fmt.Errorf("analysis: AC at %g Hz: %w", f, err)
-		}
-		fz.solves++
-		if _, err := fz.verify(slv, f, x, b); err != nil {
-			return nil, err
+		kind, err := point(k, f, slv)
+		if err != nil {
+			return err
 		}
 		fz.condSampleAt(k, len(freqs))
 		if slow != nil {
-			slow.note(f, time.Since(t0), fz.kind)
+			slow.note(f, time.Since(t0), kind)
 		}
-		sol[k] = x
 	}
-	return sol, nil
+	return nil
 }
 
-// ImpedanceMatrixColumns computes driving-point impedances: for every
-// frequency it factors the AC matrix once and back-substitutes one RHS per
-// requested node (unit current injection), returning Z[nodeIdxInList][freq].
-// Off-diagonal consumers use it; the all-nodes stability sweep reads only
-// driving-point entries and runs ImpedanceDiagSweep instead (the
-// per-node alternative, one full AC analysis per node, survives only as
-// the ablation benchmark). The factorization itself is
-// the two-phase kind: the pivot order and fill pattern come from the
-// Sim-shared symbolic analysis and each frequency only refills
-// preallocated numeric arrays, so the steady-state loop body performs no
-// allocations at all. A canceled ctx aborts between frequency points —
-// within one factorization of the cancellation.
+// ImpedanceMatrixColumns computes driving-point impedances by full
+// substitution: for every frequency it factors the AC matrix once and
+// back-substitutes one RHS per requested node (unit current injection),
+// returning Z[nodeIdxInList][freq]. Every production Z_kk route runs
+// ImpedanceDiagSweep instead; this sweep is the full-substitution
+// reference the diag kernel is tested against. A canceled ctx aborts
+// between frequency points — within one factorization of the
+// cancellation.
 func (s *Sim) ImpedanceMatrixColumns(ctx context.Context, freqs []float64, op *mna.OpPoint, nodeIdx []int) ([][]complex128, error) {
 	n := s.Sys.NumUnknowns()
 	out := make([][]complex128, len(nodeIdx))
@@ -1081,29 +1097,14 @@ func (s *Sim) ImpedanceMatrixColumns(ctx context.Context, freqs []float64, op *m
 	}
 	fz := s.newACFactorizer(2*math.Pi*freqs[0], op)
 	defer fz.flush()
-	slow := newSlowTracker(s.Trace)
-	defer slow.flush(s.Trace)
 	b := make([]complex128, n)
 	x := make([]complex128, n)
-	for k, f := range freqs {
-		if err := acerr.Ctx(ctx); err != nil {
-			return nil, err
-		}
-		var t0 time.Time
-		if slow != nil {
-			t0 = time.Now()
-		}
-		slv, err := fz.at(2 * math.Pi * f)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
-		}
-		if err := fz.solveColumns(slv, f, k, nodeIdx, out, b, x); err != nil {
-			return nil, err
-		}
-		fz.condSampleAt(k, len(freqs))
-		if slow != nil {
-			slow.note(f, time.Since(t0), fz.kind)
-		}
+	err := fz.sweep(ctx, freqs, "impedance", func(k int, f float64, slv *sparse.Numeric) (string, error) {
+		err := fz.solveColumns(slv, f, k, nodeIdx, out, b, x)
+		return fz.kind, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -1228,21 +1229,19 @@ func (fz *acFactorizer) selInv(nodeIdx []int) (*sparse.SelInv, []complex128, err
 
 // ImpedanceDiagSweep computes only the driving-point diagonal
 // Z_kk(ω) = (A⁻¹)_{kk} for the requested nodes, returning
-// Z[nodeIdxInList][freq] with the same shape ImpedanceMatrixColumns
-// produces. On the refactor path it runs the selected-inverse kernel
-// (sparse.SelInv): one backward sweep over the elimination steps computes
-// the inverse on the filled pattern of (L+U)ᵀ, which holds every
-// diagonal, so each frequency costs O(fill) instead of one full
-// substitution per node. The gather schedule is built once per symbolic
-// analysis (cached on the Sim-shared state, so forked workers and every
-// node subset share it). Each frequency's matrix is one fill of the
-// operating point's G + jωC pencil, so the steady-state loop body neither
-// restamps nor allocates. Frequencies that leave the refactor path — a collapsed
-// pivot re-pivoted at that point, or a sweep whose symbolic analysis
-// failed to build — fall back to full per-node SolveInto for that point
-// and count against acstab_ac_diag_fallbacks_total. Callers
-// that need off-diagonal entries (loop-gain extraction) must keep using
-// ImpedanceMatrixColumns.
+// Z[nodeIdxInList][freq] — the one Z_kk route of every run mode. On the
+// refactor path it runs the selected-inverse kernel (sparse.SelInv): one
+// backward sweep over the elimination steps computes the inverse on the
+// filled pattern of (L+U)ᵀ, which holds every diagonal, so each frequency
+// costs O(fill) instead of one full substitution per node. The gather
+// schedule is built once per symbolic analysis (cached on the Sim-shared
+// state, so forked workers and every node subset share it). Each
+// frequency's matrix is one fill of the operating point's G + jωC pencil,
+// so the steady-state loop body neither restamps nor allocates.
+// Frequencies that leave the refactor path — a collapsed pivot re-pivoted
+// at that point, or a sweep whose symbolic analysis failed to build —
+// fall back to full per-node SolveInto for that point and count against
+// acstab_ac_diag_fallbacks_total.
 func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.OpPoint, nodeIdx []int) ([][]complex128, error) {
 	n := s.Sys.NumUnknowns()
 	out := make([][]complex128, len(nodeIdx))
@@ -1256,8 +1255,6 @@ func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.O
 	defer sp.End()
 	fz := s.newACFactorizer(2*math.Pi*freqs[0], op)
 	defer fz.flush()
-	slow := newSlowTracker(s.Trace)
-	defer slow.flush(s.Trace)
 	si, z, err := fz.selInv(nodeIdx)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: diag sweep plan: %w", err)
@@ -1265,54 +1262,39 @@ func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.O
 	diag := make([]complex128, len(nodeIdx))
 	b := make([]complex128, n)
 	x := make([]complex128, n)
-	for k, f := range freqs {
-		if err := acerr.Ctx(ctx); err != nil {
-			return nil, err
-		}
-		var t0 time.Time
-		if slow != nil {
-			t0 = time.Now()
-		}
-		slv, err := fz.at(2 * math.Pi * f)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
-		}
-		kind := fz.kind
-		if kind == solveKindRefactor && si != nil {
-			// Refactor succeeded under the frozen pivot order, so the
-			// schedule describes exactly this factorization.
-			if err := slv.DiagInverseInto(diag, nodeIdx, si, z); err != nil {
-				return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
-			}
-			for i := range nodeIdx {
-				out[i][k] = diag[i]
-			}
-			fz.diagSolves++
-			fz.diagRows += si.Entries()
-			kind = solveKindDiag
-			if fz.resThreshold > 0 && fz.probeEvery > 0 && k%fz.probeEvery == 0 {
-				if err := fz.probeDiag(slv, f, k, nodeIdx, out, b, x); err != nil {
-					return nil, err
-				}
-				if fz.kind != solveKindRefactor {
-					kind = fz.kind
-				}
-			}
-			fz.condSampleAt(k, len(freqs))
-			fz.solves += int64(len(nodeIdx))
-		} else {
+	err = fz.sweep(ctx, freqs, "impedance", func(k int, f float64, slv *sparse.Numeric) (string, error) {
+		if fz.kind != solveKindRefactor || si == nil {
 			// Re-pivoted point (collapsed pivot or no frozen analysis): its
-			// pivot order is its own, so the frozen schedule
-			// does not apply — run the full per-node substitutions.
+			// pivot order is its own, so the frozen schedule does not
+			// apply — run the full per-node substitutions.
 			fz.diagFallbacks++
-			if err := fz.solveColumns(slv, f, k, nodeIdx, out, b, x); err != nil {
-				return nil, err
+			err := fz.solveColumns(slv, f, k, nodeIdx, out, b, x)
+			return fz.kind, err
+		}
+		// Refactor succeeded under the frozen pivot order, so the schedule
+		// describes exactly this factorization.
+		if err := slv.DiagInverseInto(diag, nodeIdx, si, z); err != nil {
+			return "", fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
+		}
+		for i := range nodeIdx {
+			out[i][k] = diag[i]
+		}
+		fz.diagSolves++
+		fz.diagRows += si.Entries()
+		kind := solveKindDiag
+		if fz.resThreshold > 0 && fz.probeEvery > 0 && k%fz.probeEvery == 0 {
+			if err := fz.probeDiag(slv, f, k, nodeIdx, out, b, x); err != nil {
+				return "", err
 			}
-			kind = fz.kind
+			if fz.kind != solveKindRefactor {
+				kind = fz.kind
+			}
 		}
-		if slow != nil {
-			slow.note(f, time.Since(t0), kind)
-		}
+		fz.solves += int64(len(nodeIdx))
+		return kind, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -1324,7 +1306,7 @@ func (s *Sim) Impedance(ctx context.Context, freqs []float64, op *mna.OpPoint, n
 	if !ok || idx < 0 {
 		return nil, fmt.Errorf("analysis: cannot probe node %q: %w", node, acerr.ErrUnknownNode)
 	}
-	z, err := s.ImpedanceMatrixColumns(ctx, freqs, op, []int{idx})
+	z, err := s.ImpedanceDiagSweep(ctx, freqs, op, []int{idx})
 	if err != nil {
 		return nil, err
 	}

@@ -116,6 +116,13 @@ func (o RequestOptions) Normalize() (tool.Options, error) {
 	if max := MaxWireWorkers(); opts.Workers > max {
 		opts.Workers = max
 	}
+	if ge := tool.CheckGrids(opts); ge != nil {
+		field := "points_per_decade"
+		if ge.Coarse {
+			field = "coarse_points_per_decade"
+		}
+		return opts, &FieldError{Field: field, Reason: ge.Error()}
+	}
 	opts.SkipNodes = o.SkipNodes
 	opts.OnlyNodes = o.OnlyNodes
 	opts.OnlySubckt = o.OnlySubckt

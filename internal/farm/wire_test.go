@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -129,6 +132,10 @@ func TestNormalizeFieldErrors(t *testing.T) {
 		{"negative ppd", RequestOptions{PointsPerDecade: -1}, "points_per_decade"},
 		{"negative loop_tol", RequestOptions{LoopTol: -0.1}, "loop_tol"},
 		{"negative workers", RequestOptions{Workers: -1}, "workers"},
+		{"oversize grid", RequestOptions{PointsPerDecade: 1e9}, "points_per_decade"},
+		{"unbounded span", RequestOptions{FStartHz: 1e-300, FStopHz: 1e300}, "points_per_decade"},
+		{"oversize coarse grid", RequestOptions{FStartHz: 1, FStopHz: 1e30,
+			CoarsePointsPerDecade: 5000, RefinePointsPerDecade: 5000}, "coarse_points_per_decade"},
 	} {
 		_, err := tc.in.Normalize()
 		var fe *FieldError
@@ -145,5 +152,32 @@ func TestNormalizeFieldErrors(t *testing.T) {
 		if we.Status != 400 || we.Detail.Code != CodeBadOption || we.Detail.Field != tc.field {
 			t.Errorf("%s: wire error %+v", tc.name, we)
 		}
+	}
+}
+
+// TestOversizeGridIs400: a request whose points_per_decade would build a
+// billions-point grid is refused at decode with a 400 naming the field,
+// before anything grid-sized is allocated. Left unchecked, the grid's
+// allocation failure kills the whole worker process.
+func TestOversizeGridIs400(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, we := DecodeRequest([]byte(`{"netlist": "x", "options": {"points_per_decade": 1000000000}}`))
+	runtime.ReadMemStats(&after)
+	if we == nil || we.Status != http.StatusBadRequest || we.Detail.Code != CodeBadOption || we.Detail.Field != "points_per_decade" {
+		t.Fatalf("wire error %+v, want 400 bad_option on points_per_decade", we)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("decode allocated %d bytes", grew)
+	}
+
+	// Through the handler: a grid one order above the cap (small enough
+	// to be harmless if the check ever regressed) answers 400 too.
+	srv := httptest.NewServer(Handler())
+	defer srv.Close()
+	body := fmt.Sprintf(`{"netlist": %q, "options": {"points_per_decade": 200000}}`, "tank\nR1 t 0 1k\nC1 t 0 1n\n")
+	code, resp := postJSON(t, srv, body)
+	if code != http.StatusBadRequest || !strings.Contains(resp, CodeBadOption) || !strings.Contains(resp, "points_per_decade") {
+		t.Errorf("status %d, body %q", code, resp)
 	}
 }

@@ -27,8 +27,9 @@ func Flatten(c *Circuit) (*Circuit, error) {
 	for k, v := range c.NodeSet {
 		flat.NodeSet[k] = v
 	}
+	expanded := 0
 	for _, e := range c.Elems {
-		if err := expand(flat, c, e, "", nil, c.Params, 0); err != nil {
+		if err := expand(flat, c, e, "", nil, c.Params, 0, &expanded); err != nil {
 			return nil, err
 		}
 	}
@@ -37,12 +38,24 @@ func Flatten(c *Circuit) (*Circuit, error) {
 
 const maxDepth = 50
 
+// maxExpanded bounds how many element instances subckt calls may expand
+// into. Nesting multiplies: thirty levels that each call the level below
+// twice turn a 1 kB deck into 2^30 elements, which would run Flatten
+// until memory runs out.
+const maxExpanded = 1 << 18
+
 // expand emits element e into flat. prefix is the instance path ("x1." or
 // ""), portMap translates subckt-internal node names, and scope is the
-// parameter environment for expression evaluation.
-func expand(flat, top *Circuit, e *Element, prefix string, portMap map[string]string, scope map[string]float64, depth int) error {
+// parameter environment for expression evaluation. expanded counts the
+// instances emitted below the top level so far.
+func expand(flat, top *Circuit, e *Element, prefix string, portMap map[string]string, scope map[string]float64, depth int, expanded *int) error {
 	if depth > maxDepth {
 		return fmt.Errorf("netlist: subckt nesting deeper than %d (recursive subckts?)", maxDepth)
+	}
+	if depth > 0 {
+		if *expanded++; *expanded > maxExpanded {
+			return fmt.Errorf("netlist: subckt calls expand to more than %d elements", maxExpanded)
+		}
 	}
 	mapNode := func(n string) string {
 		if portMap != nil {
@@ -143,7 +156,7 @@ func expand(flat, top *Circuit, e *Element, prefix string, portMap map[string]st
 		}
 	}
 	for _, se := range sub.Elems {
-		if err := expand(flat, top, se, childPrefix, pm, child, depth+1); err != nil {
+		if err := expand(flat, top, se, childPrefix, pm, child, depth+1, expanded); err != nil {
 			return err
 		}
 	}

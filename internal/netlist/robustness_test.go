@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -80,5 +81,24 @@ func TestParseFlattenFormatNeverPanicQuick(t *testing.T) {
 		if _, err := Parse(Format(flat)); err != nil {
 			t.Errorf("%q re-parse: %v", src, err)
 		}
+	}
+}
+
+// TestFlattenExpansionBomb: nested subckts that each call the level below
+// twice grow exponentially; Flatten must refuse the deck once the
+// expansion passes its cap instead of running out of memory.
+func TestFlattenExpansionBomb(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("bomb\n.subckt s0 a\nR1 a 0 1k\n.ends\n")
+	for i := 1; i <= 30; i++ {
+		fmt.Fprintf(&sb, ".subckt s%d a\nX1 a s%d\nX2 a s%d\n.ends\n", i, i-1, i-1)
+	}
+	sb.WriteString("X0 n s30\nV1 n 0 1\n")
+	c, err := Parse(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Flatten(c); err == nil || !strings.Contains(err.Error(), "expand to more than") {
+		t.Fatalf("err = %v, want the expansion cap", err)
 	}
 }

@@ -151,15 +151,22 @@ func LogSpace(a, b float64, n int) []float64 {
 // LogGridPPD returns a log grid from fstart to fstop with approximately
 // ppd points per decade (always including both endpoints, minimum 2 points).
 func LogGridPPD(fstart, fstop float64, ppd int) []float64 {
+	// A NaN length converts to a non-positive int and takes the minimum.
+	return LogSpace(fstart, fstop, max(int(LogGridLen(fstart, fstop, ppd)), 2))
+}
+
+// LogGridLen is the length of LogGridPPD(fstart, fstop, ppd), computed in
+// floating point without building the grid, so a caller can bound a grid
+// before allocating it. An unbounded span gives +Inf, a NaN bound NaN.
+func LogGridLen(fstart, fstop float64, ppd int) float64 {
 	if ppd < 1 {
 		ppd = 1
 	}
-	decades := math.Log10(fstop / fstart)
-	n := int(math.Ceil(decades*float64(ppd))) + 1
+	n := math.Ceil(math.Log10(fstop/fstart)*float64(ppd)) + 1
 	if n < 2 {
 		n = 2
 	}
-	return LogSpace(fstart, fstop, n)
+	return n
 }
 
 // LinSpace returns n points linearly spaced from a to b inclusive.

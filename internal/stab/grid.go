@@ -42,56 +42,27 @@ type RefineOptions struct {
 // adaptive sweep: the log-midpoints of every interval that is (a) above
 // the stability-plot threshold and wider than the wide target, or (b)
 // adjacent to a current extremum of P and wider than the peak target.
-// freqs must be ascending with positive entries; mags are the response
-// magnitudes at those frequencies. The returned frequencies are ascending
-// and distinct from the inputs; an empty result means the grid has
-// converged. Fewer than 3 samples can't support the stencil and return
-// nil.
-func RefinePlan(freqs, mags []float64, opt RefineOptions) []float64 {
-	n := len(freqs)
-	if n < 3 {
-		return nil
-	}
-	u := make([]float64, n)
-	ln := make([]float64, n)
-	for i := 0; i < n; i++ {
-		u[i] = math.Log(freqs[i])
-		ln[i] = LogMag(mags[i])
-	}
-	want, _ := RefinePlanLogs(freqs, u, ln, opt)
-	return want
-}
-
-// LogMag is ln(m) with non-positive magnitudes clamped to the smallest
-// positive float, the sanitization RefinePlan applies before the stencil.
-func LogMag(m float64) float64 {
-	if m <= 0 {
-		m = math.SmallestNonzeroFloat64
-	}
-	return math.Log(m)
-}
-
-// RefinePlanLogs is RefinePlan for callers that carry the log-domain
-// samples across rounds: u = ln(freqs) and ln = ln(mags), element for
-// element. A multi-round adaptive sweep grows each node's grid by a
-// handful of points per round, so recomputing both logarithms over the
-// whole grid every round is the dominant cost of the refinement decision;
-// this entry point makes the decision O(n) arithmetic with no
-// transcendentals except one exp per emitted midpoint. Returns the wanted
-// frequencies and their log-frequencies (wantU[i] == the exact midpoint
-// value, not Log(wantF[i])).
-func RefinePlanLogs(freqs, u, ln []float64, opt RefineOptions) (wantF, wantU []float64) {
+// freqs must be ascending with positive entries; u = ln(freqs) and
+// ln = LogMag(|T|) at those frequencies, element for element. Callers
+// carry the log-domain samples across rounds: a multi-round adaptive
+// sweep grows each node's grid by a handful of points per round, so this
+// decision is O(n) arithmetic with no transcendentals except one exp per
+// emitted midpoint. Returns the wanted frequencies, ascending and
+// distinct from the inputs, and their log-frequencies (wantU[i] is the
+// exact midpoint value, not Log(wantF[i])); an empty result means the
+// grid has converged. Fewer than 3 samples can't support the stencil and
+// return nil.
+//
+// The plan always differentiates with the 3-point stencil, whatever the
+// grid: its first round runs on the uniform coarse grid, where plot
+// would take the 5-point one, and the refined grids depend on it.
+func RefinePlan(freqs, u, ln []float64, opt RefineOptions) (wantF, wantU []float64) {
 	n := len(freqs)
 	if n < 3 {
 		return nil, nil
 	}
-	// Same non-uniform 3-point stencil as Plot, endpoints copied.
 	p := make([]float64, n)
-	for i := 1; i < n-1; i++ {
-		h0, h1 := u[i]-u[i-1], u[i+1]-u[i]
-		p[i] = 2 * (h1*ln[i-1] - (h0+h1)*ln[i] + h0*ln[i+1]) / (h0 * h1 * (h0 + h1))
-	}
-	p[0], p[n-1] = p[1], p[n-2]
+	stencil3(p, u, ln)
 
 	split := make([]bool, n-1)
 	hot := func(i int) bool { return math.Abs(p[i]) >= opt.Threshold }
@@ -102,28 +73,19 @@ func RefinePlanLogs(freqs, u, ln []float64, opt RefineOptions) (wantF, wantU []f
 	}
 	// Extremum-adjacent intervals refine all the way to the peak target:
 	// those two intervals carry the three samples the parabolic peak fit
-	// reads, so their spacing bounds the ωn/ζ accuracy.
-	markPeak := func(i int) {
+	// reads, so their spacing bounds the ωn/ζ accuracy. The extrema are
+	// Analyze's, restricted to hot samples.
+	extrema(p, func(i int, _ bool) {
+		if !hot(i) {
+			return
+		}
 		if i > 0 && u[i]-u[i-1] > refineSplit*opt.PeakDU {
 			split[i-1] = true
 		}
 		if i < n-1 && u[i+1]-u[i] > refineSplit*opt.PeakDU {
 			split[i] = true
 		}
-	}
-	for i := 1; i < n-1; i++ {
-		if p[i] < 0 && p[i] <= p[i-1] && p[i] < p[i+1] && hot(i) {
-			markPeak(i)
-		}
-		if p[i] > 0 && p[i] >= p[i-1] && p[i] > p[i+1] && hot(i) {
-			markPeak(i)
-		}
-	}
-	// High-edge extreme that never turns around in range, mirroring
-	// Analyze's end-of-range handling.
-	if p[n-2] < 0 && p[n-2] < p[n-3] && hot(n-2) {
-		markPeak(n - 2)
-	}
+	})
 	for i, s := range split {
 		if !s {
 			continue

@@ -57,6 +57,19 @@ func TestAddPeakNonUniformBracket(t *testing.T) {
 	}
 }
 
+// planMags runs RefinePlan on raw magnitudes, taking the logs the way
+// the tool's adaptive sweep does.
+func planMags(freqs, mags []float64, opt RefineOptions) []float64 {
+	u := make([]float64, len(freqs))
+	ln := make([]float64, len(freqs))
+	for i, f := range freqs {
+		u[i] = math.Log(f)
+		ln[i] = LogMag(mags[i])
+	}
+	want, _ := RefinePlan(freqs, u, ln, opt)
+	return want
+}
+
 // refineLoop drives RefinePlan to convergence the way the tool's adaptive
 // sweep does, resolving new points against the analytic magnitude.
 func refineLoop(t *testing.T, tf ratfn.TF, freqs []float64, opt RefineOptions) []float64 {
@@ -70,7 +83,7 @@ func refineLoop(t *testing.T, tf ratfn.TF, freqs []float64, opt RefineOptions) [
 		for i, f := range freqs {
 			mags[i] = tf.MagAt(2 * math.Pi * f)
 		}
-		want := RefinePlan(freqs, mags, opt)
+		want := planMags(freqs, mags, opt)
 		if len(want) == 0 {
 			return freqs
 		}
@@ -124,7 +137,7 @@ func TestRefinePlanFlatResponse(t *testing.T) {
 		mags[i] = 100 / (1 + f/1e6) // single real pole: |P| stays under 0.5
 	}
 	opt := RefineOptions{Threshold: 0.5, WideDU: math.Ln10 / 16, PeakDU: math.Ln10 / 40}
-	if want := RefinePlan(coarse, mags, opt); len(want) != 0 {
+	if want := planMags(coarse, mags, opt); len(want) != 0 {
 		t.Errorf("flat response requested %d refinement points: %v", len(want), want)
 	}
 }
@@ -140,8 +153,8 @@ func TestRefinePlanProperties(t *testing.T) {
 		mags[i] = tf.MagAt(2 * math.Pi * f)
 	}
 	opt := RefineOptions{Threshold: 0.5, WideDU: math.Ln10 / 16, PeakDU: math.Ln10 / 40}
-	a := RefinePlan(coarse, mags, opt)
-	b := RefinePlan(coarse, mags, opt)
+	a := planMags(coarse, mags, opt)
+	b := planMags(coarse, mags, opt)
 	if len(a) == 0 {
 		t.Fatal("expected refinement around the resonance")
 	}

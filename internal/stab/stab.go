@@ -27,14 +27,8 @@ import (
 	"acstab/internal/wave"
 )
 
-// Options configures stability-plot computation and peak classification.
+// Options configures peak classification.
 type Options struct {
-	// Stencil selects the finite-difference scheme for the second
-	// derivative: 0 (auto: 5-point on uniform log grids, else 3-point),
-	// 3 (works on non-uniform grids) or 5 (higher order, uniform log
-	// grids only). At 40 points/decade the 3-point scheme underestimates
-	// a zeta=0.1 peak by ~14% while the 5-point scheme stays within ~6%.
-	Stencil int
 	// MinPeakDepth: negative peaks shallower than this magnitude are
 	// classified MinMax (numerical extremum, not a resonance). The bound
 	// comes from the real-pole analysis: an isolated real pole dips to
@@ -43,14 +37,11 @@ type Options struct {
 	// so the default (0.75) only applies through DefaultOptions, not to
 	// an explicitly zeroed Options value.
 	MinPeakDepth float64
-	// MaxPeaks bounds how many peaks are reported per node (deepest first
-	// within each sign). 0 = unlimited.
-	MaxPeaks int
 }
 
 // DefaultOptions returns the defaults documented in DESIGN.md.
 func DefaultOptions() Options {
-	return Options{Stencil: 0, MinPeakDepth: 0.75}
+	return Options{MinPeakDepth: 0.75}
 }
 
 // PeakType classifies a detected stability-plot peak, mirroring the
@@ -129,63 +120,85 @@ type Result struct {
 	Dominant *Peak
 }
 
-// Plot computes the stability-plot waveform P from a response magnitude
-// waveform (|T| versus frequency on a log grid). Non-positive magnitudes
-// are clamped to the smallest positive double before taking logs.
-func Plot(mag *wave.Wave, opts Options) (*wave.Wave, error) {
+// plot computes the stability-plot waveform P from a response magnitude
+// waveform (|T| versus frequency on a log grid), returning it with the
+// log-frequency grid u = ln f it was differentiated on. Magnitudes pass
+// through LogMag. A uniform log grid of at least 7 points takes the
+// 5-point stencil — at 40 points/decade the 3-point scheme underestimates
+// a zeta=0.1 peak by ~14% while the 5-point scheme stays within ~6% —
+// and any other grid the non-uniform 3-point one.
+func plot(mag *wave.Wave) (*wave.Wave, []float64, error) {
 	n := mag.Len()
 	if n < 5 {
-		return nil, fmt.Errorf("stab: need at least 5 frequency points, have %d", n)
+		return nil, nil, fmt.Errorf("stab: need at least 5 frequency points, have %d", n)
 	}
 	ln := make([]float64, n)
 	u := make([]float64, n)
 	for i := 0; i < n; i++ {
-		m := real(mag.Y[i])
-		if m <= 0 {
-			m = math.SmallestNonzeroFloat64
-		}
-		ln[i] = math.Log(m)
+		ln[i] = LogMag(real(mag.Y[i]))
 		if mag.X[i] <= 0 {
-			return nil, fmt.Errorf("stab: non-positive frequency at index %d", i)
+			return nil, nil, fmt.Errorf("stab: non-positive frequency at index %d", i)
 		}
 		u[i] = math.Log(mag.X[i])
 	}
 	p := make([]float64, n)
-	stencil := opts.Stencil
-	if stencil == 0 {
-		stencil = 3
-		if logUniform(u) && n >= 7 {
-			stencil = 5
-		}
-	}
-	switch stencil {
-	case 3:
-		for i := 1; i < n-1; i++ {
-			h0, h1 := u[i]-u[i-1], u[i+1]-u[i]
-			p[i] = 2 * (h1*ln[i-1] - (h0+h1)*ln[i] + h0*ln[i+1]) / (h0 * h1 * (h0 + h1))
-		}
-		p[0], p[n-1] = p[1], p[n-2]
-	case 5:
-		if !logUniform(u) {
-			return nil, fmt.Errorf("stab: 5-point stencil needs a uniform log grid")
-		}
-		h := u[1] - u[0]
-		for i := 2; i < n-2; i++ {
-			p[i] = (-ln[i-2] + 16*ln[i-1] - 30*ln[i] + 16*ln[i+1] - ln[i+2]) / (12 * h * h)
-		}
-		// Fall back to 3-point at the first/last interior points.
-		for _, i := range []int{1, n - 2} {
-			p[i] = (ln[i-1] - 2*ln[i] + ln[i+1]) / (h * h)
-		}
-		p[0], p[n-1] = p[1], p[n-2]
-	default:
-		return nil, fmt.Errorf("stab: unsupported stencil %d (want 3 or 5)", opts.Stencil)
+	if n >= 7 && logUniform(u) {
+		stencil5(p, ln, u[1]-u[0])
+	} else {
+		stencil3(p, u, ln)
 	}
 	w := wave.NewReal("stabplot("+mag.Name+")", append([]float64(nil), mag.X...), p)
 	w.XUnit = mag.XUnit
 	w.YUnit = ""
 	w.LogX = true
-	return w, nil
+	return w, u, nil
+}
+
+// stencil3 fills p with the 3-point second derivative of ln over the
+// (possibly non-uniform) grid u, endpoints copied from their neighbours.
+func stencil3(p, u, ln []float64) {
+	n := len(u)
+	for i := 1; i < n-1; i++ {
+		h0, h1 := u[i]-u[i-1], u[i+1]-u[i]
+		p[i] = 2 * (h1*ln[i-1] - (h0+h1)*ln[i] + h0*ln[i+1]) / (h0 * h1 * (h0 + h1))
+	}
+	p[0], p[n-1] = p[1], p[n-2]
+}
+
+// stencil5 fills p with the 5-point second derivative of ln over a
+// uniform grid of step h. The first and last interior points, which the
+// 5-point stencil cannot reach, take the uniform-step 3-point row, not
+// stencil3: the two round differently, and end-of-range peaks read these
+// samples. Endpoints are copied from their neighbours.
+func stencil5(p, ln []float64, h float64) {
+	n := len(ln)
+	for i := 2; i < n-2; i++ {
+		p[i] = (-ln[i-2] + 16*ln[i-1] - 30*ln[i] + 16*ln[i+1] - ln[i+2]) / (12 * h * h)
+	}
+	for _, i := range [2]int{1, n - 2} {
+		p[i] = (ln[i-1] - 2*ln[i] + ln[i+1]) / (h * h)
+	}
+	p[0], p[n-1] = p[1], p[n-2]
+}
+
+// extrema calls visit for every extremum of the stability plot p, in
+// index order: each interior negative minimum (isMax false) and positive
+// maximum (isMax true), then a high-edge negative extreme that never
+// turned around inside the range. The low edge needs no extra rule:
+// p[0] duplicates p[1], so the "<= previous" test passes at i = 1.
+func extrema(p []float64, visit func(i int, isMax bool)) {
+	n := len(p)
+	for i := 1; i < n-1; i++ {
+		if p[i] < 0 && p[i] <= p[i-1] && p[i] < p[i+1] {
+			visit(i, false)
+		}
+		if p[i] > 0 && p[i] >= p[i-1] && p[i] > p[i+1] {
+			visit(i, true)
+		}
+	}
+	if n >= 3 && p[n-2] < 0 && p[n-2] < p[n-3] {
+		visit(n-2, false)
+	}
 }
 
 // Analyze computes the stability plot of a response magnitude and detects
@@ -193,26 +206,23 @@ func Plot(mag *wave.Wave, opts Options) (*wave.Wave, error) {
 // MinPeakDepth disables the min/max filter rather than being replaced by
 // the default — callers wanting defaults start from DefaultOptions.
 func Analyze(mag *wave.Wave, opts Options) (*Result, error) {
-	switch opts.Stencil {
-	case 0, 3, 5:
-	default:
-		return nil, fmt.Errorf("stab: unsupported stencil %d (want 0, 3 or 5)", opts.Stencil)
-	}
-	plot, err := Plot(mag, opts)
+	w, u, err := plot(mag)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Plot: plot}
-	n := plot.Len()
-	p := plot.Real()
-	u := make([]float64, n)
-	for i, x := range plot.X {
-		u[i] = math.Log(x)
-	}
+	return peaks(w, u, opts), nil
+}
 
-	addPeak := func(i int, isMax bool) {
+// peaks detects and classifies the extrema of the stability plot w,
+// sampled on the log-frequency grid u.
+func peaks(w *wave.Wave, u []float64, opts Options) *Result {
+	res := &Result{Plot: w}
+	n := w.Len()
+	p := w.Real()
+
+	extrema(p, func(i int, isMax bool) {
 		val := p[i]
-		freq := plot.X[i]
+		freq := w.X[i]
 		// Parabolic refinement in (u, P) through the three samples around
 		// the extremum, with the actual (possibly non-uniform) spacing:
 		// adaptive grids mix coarse and refined intervals right at a peak,
@@ -252,31 +262,8 @@ func Analyze(mag *wave.Wave, opts Options) (*Result, error) {
 			pk.OvershootPct = math.NaN()
 		}
 		res.Peaks = append(res.Peaks, pk)
-	}
-
-	for i := 1; i < n-1; i++ {
-		if p[i] < 0 && p[i] <= p[i-1] && p[i] < p[i+1] {
-			addPeak(i, false)
-		}
-		if p[i] > 0 && p[i] >= p[i-1] && p[i] > p[i+1] {
-			addPeak(i, true)
-		}
-	}
-	// High-edge extreme that never turned around inside the range. (The
-	// low edge is covered by the main loop: p[0] duplicates p[1], so the
-	// "<= previous" test passes at i=1.)
-	if n >= 3 && p[n-2] < 0 && p[n-2] < p[n-3] {
-		addPeak(n-2, false)
-	}
+	})
 	sort.Slice(res.Peaks, func(a, b int) bool { return res.Peaks[a].Freq < res.Peaks[b].Freq })
-	if opts.MaxPeaks > 0 && len(res.Peaks) > opts.MaxPeaks {
-		// Keep the deepest |Value| peaks.
-		sort.Slice(res.Peaks, func(a, b int) bool {
-			return math.Abs(res.Peaks[a].Value) > math.Abs(res.Peaks[b].Value)
-		})
-		res.Peaks = res.Peaks[:opts.MaxPeaks]
-		sort.Slice(res.Peaks, func(a, b int) bool { return res.Peaks[a].Freq < res.Peaks[b].Freq })
-	}
 	for i := range res.Peaks {
 		pk := &res.Peaks[i]
 		if pk.IsZero || pk.Type == PeakMinMax {
@@ -286,7 +273,7 @@ func Analyze(mag *wave.Wave, opts Options) (*Result, error) {
 			res.Dominant = pk
 		}
 	}
-	return res, nil
+	return res
 }
 
 // logUniform reports whether the log-frequency grid u is uniform enough
@@ -305,4 +292,13 @@ func logUniform(u []float64) bool {
 		}
 	}
 	return true
+}
+
+// LogMag is ln(m) with non-positive magnitudes clamped to the smallest
+// positive float, the one sanitization every stencil input goes through.
+func LogMag(m float64) float64 {
+	if m <= 0 {
+		m = math.SmallestNonzeroFloat64
+	}
+	return math.Log(m)
 }

@@ -24,20 +24,37 @@ func magWave(tf ratfn.TF, fstart, fstop float64, ppd int) *wave.Wave {
 	return w
 }
 
+// logs returns u = ln f and LogMag(|T|) of a magnitude waveform, the
+// inputs the stencils differentiate.
+func logs(mag *wave.Wave) (u, ln []float64) {
+	u = make([]float64, mag.Len())
+	ln = make([]float64, mag.Len())
+	for i, f := range mag.X {
+		u[i] = math.Log(f)
+		ln[i] = LogMag(real(mag.Y[i]))
+	}
+	return u, ln
+}
+
+// plot3 is the 3-point stability plot of mag on any grid.
+func plot3(mag *wave.Wave) []float64 {
+	u, ln := logs(mag)
+	p := make([]float64, len(u))
+	stencil3(p, u, ln)
+	return p
+}
+
 func TestPlotMatchesAnalyticSecondOrder(t *testing.T) {
 	// Sampled second-order magnitude: P must match the closed form.
 	for _, zeta := range []float64{0.2, 0.5, 0.8} {
 		fn := 1e6
 		tf := ratfn.SecondOrder(zeta, 2*math.Pi*fn)
 		mag := magWave(tf, 1e4, 1e8, 60)
-		plot, err := Plot(mag, Options{Stencil: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 5; i < plot.Len()-5; i += 7 {
-			f := plot.X[i]
+		p := plot3(mag)
+		for i := 5; i < len(p)-5; i += 7 {
+			f := mag.X[i]
 			want := sos.StabilityPlot(zeta, f/fn)
-			got := real(plot.Y[i])
+			got := p[i]
 			if math.Abs(got-want) > 0.04*(1+math.Abs(want)) {
 				t.Errorf("zeta=%g f=%g: P=%g want %g", zeta, f, got, want)
 			}
@@ -270,40 +287,74 @@ func TestRealPoleImmunityQuick(t *testing.T) {
 	}
 }
 
-func TestStencil5MatchesStencil3(t *testing.T) {
+// TestPlotStencilFollowsGrid: a uniform log grid takes the 5-point
+// stencil, and the same grid with one sample nudged off it takes the
+// non-uniform 3-point one — bit for bit in both cases.
+func TestPlotStencilFollowsGrid(t *testing.T) {
 	tf := ratfn.SecondOrder(0.25, 2*math.Pi*1e6)
 	mag := magWave(tf, 1e3, 1e9, 40)
-	r3, err := Analyze(mag, Options{Stencil: 3, MinPeakDepth: 0.75})
+	u, ln := logs(mag)
+	want5 := make([]float64, len(u))
+	stencil5(want5, ln, u[1]-u[0])
+	w, _, err := plot(mag)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r5, err := Analyze(mag, Options{Stencil: 5, MinPeakDepth: 0.75})
+	for i, v := range w.Real() {
+		if v != want5[i] {
+			t.Fatalf("uniform grid, P[%d] = %v, want the 5-point %v", i, v, want5[i])
+		}
+	}
+
+	xs := append([]float64(nil), mag.X...)
+	k := len(xs) / 2
+	xs[k] *= 1 + 0.1*(xs[k+1]/xs[k]-1)
+	bumped := magWaveOn(tf, xs)
+	want3 := plot3(bumped)
+	w, _, err = plot(bumped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r3.Dominant == nil || r5.Dominant == nil {
-		t.Fatal("missing dominant peaks")
+	for i, v := range w.Real() {
+		if v != want3[i] {
+			t.Fatalf("perturbed grid, P[%d] = %v, want the 3-point %v", i, v, want3[i])
+		}
 	}
-	if !num.ApproxEqual(r3.Dominant.Freq, r5.Dominant.Freq, 0.02, 0) {
-		t.Errorf("stencil freq mismatch: %g vs %g", r3.Dominant.Freq, r5.Dominant.Freq)
+	if want3[k] == want5[k] {
+		t.Error("perturbed grid left P unchanged at the moved sample")
 	}
-	// 5-point should be at least as close to the analytic -1/zeta^2.
-	want := -1 / (0.25 * 0.25)
-	e3 := math.Abs(r3.Dominant.Value - want)
-	e5 := math.Abs(r5.Dominant.Value - want)
-	if e5 > e3*1.5 {
-		t.Errorf("5-point error %g much worse than 3-point %g", e5, e3)
+}
+
+// TestAnalyzeMatchesPlannerPlot: on a non-uniform grid Analyze and the
+// refinement planner differentiate with the same routine, so the P that
+// classifies peaks is the P that decides refinement, bit for bit.
+func TestAnalyzeMatchesPlannerPlot(t *testing.T) {
+	coarse := num.LogGridPPD(1e3, 1e9, 8)
+	tf := ratfn.SecondOrder(0.2, 2*math.Pi*2e6)
+	opt := RefineOptions{Threshold: 0.5, WideDU: math.Ln10 / 16, PeakDU: math.Ln10 / 40}
+	freqs := refineLoop(t, tf, coarse, opt)
+	mag := magWaveOn(tf, freqs)
+	u, ln := logs(mag)
+	if logUniform(u) {
+		t.Fatal("refined grid is uniform; the test needs a non-uniform one")
+	}
+	planP := make([]float64, len(u))
+	stencil3(planP, u, ln)
+	res, err := Analyze(mag, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range res.Plot.Real() {
+		if v != planP[i] {
+			t.Fatalf("P[%d]: Analyze %v, planner %v", i, v, planP[i])
+		}
 	}
 }
 
 func TestPlotErrors(t *testing.T) {
 	short := wave.NewReal("w", []float64{1, 2, 3}, []float64{1, 1, 1})
-	if _, err := Plot(short, DefaultOptions()); err == nil {
+	if _, _, err := plot(short); err == nil {
 		t.Error("expected too-few-points error")
-	}
-	mag := magWave(ratfn.SecondOrder(0.3, 1), 1e3, 1e6, 10)
-	if _, err := Plot(mag, Options{Stencil: 7}); err == nil {
-		t.Error("expected unsupported stencil error")
 	}
 }
 
@@ -315,7 +366,7 @@ func TestPlotZeroMagnitudeClamped(t *testing.T) {
 	}
 	y[10] = 0 // pathological sample
 	w := wave.NewReal("w", x, y)
-	if _, err := Plot(w, DefaultOptions()); err != nil {
+	if _, _, err := plot(w); err != nil {
 		t.Errorf("zero magnitude should be clamped, got %v", err)
 	}
 }
@@ -420,37 +471,6 @@ func TestClusterLoopsInvariantsQuick(t *testing.T) {
 	}
 }
 
-func TestMaxPeaksOption(t *testing.T) {
-	// Three pole pairs: MaxPeaks=2 keeps the two deepest.
-	t1 := ratfn.SecondOrder(0.15, 2*math.Pi*1e5)
-	t2 := ratfn.SecondOrder(0.35, 2*math.Pi*2e6)
-	t3 := ratfn.SecondOrder(0.55, 2*math.Pi*4e7)
-	mag := magWave(t1.Mul(t2).Mul(t3), 1e3, 1e9, 40)
-	full, err := Analyze(mag, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	limited, err := Analyze(mag, Options{MaxPeaks: 2, MinPeakDepth: 0.75})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(limited.Peaks) != 2 {
-		t.Fatalf("peaks = %d, want 2", len(limited.Peaks))
-	}
-	if len(full.Peaks) <= 2 {
-		t.Fatalf("full analysis should see more than 2 peaks, got %d", len(full.Peaks))
-	}
-	// The kept peaks are the deepest two (the zeta=0.15 and 0.35 pairs),
-	// still sorted by frequency.
-	if !num.ApproxEqual(limited.Peaks[0].Freq, 1e5, 0.05, 0) ||
-		!num.ApproxEqual(limited.Peaks[1].Freq, 2e6, 0.05, 0) {
-		t.Errorf("kept peaks: %+v", limited.Peaks)
-	}
-	if limited.Peaks[0].Freq > limited.Peaks[1].Freq {
-		t.Error("limited peaks not sorted by frequency")
-	}
-}
-
 func TestZeroMinPeakDepthDisablesFilter(t *testing.T) {
 	// An overdamped pair dips only ~ -0.3, which the default filter
 	// classifies MinMax. An explicit zero threshold must disable the
@@ -486,21 +506,30 @@ func TestZeroMinPeakDepthDisablesFilter(t *testing.T) {
 	}
 }
 
-func TestAnalyzeInvalidStencil(t *testing.T) {
-	tf := ratfn.SecondOrder(0.3, 2*math.Pi*1e6)
-	mag := magWave(tf, 1e3, 1e9, 40)
-	for _, st := range []int{1, 2, 4, 7, -3} {
-		opts := DefaultOptions()
-		opts.Stencil = st
-		if _, err := Analyze(mag, opts); err == nil {
-			t.Errorf("stencil %d accepted", st)
-		}
+// BenchmarkAblationStencil compares the 3-point and 5-point derivative
+// schemes (ablation A5) on the paper's ζ = 0.186 tank at 3.16 MHz, swept
+// at the default 40 points/decade: peak_err_% is the dominant peak's
+// distance from the exact P(ωn) = -1/ζ² = -28.905.
+func BenchmarkAblationStencil(b *testing.B) {
+	mag := magWave(ratfn.SecondOrder(0.186, 2*math.Pi*3.16e6), 1e3, 1e9, 40)
+	stencils := []struct {
+		name string
+		fill func(p, u, ln []float64)
+	}{
+		{"stencil-3", stencil3},
+		{"stencil-5", func(p, u, ln []float64) { stencil5(p, ln, u[1]-u[0]) }},
 	}
-	for _, st := range []int{0, 3, 5} {
-		opts := DefaultOptions()
-		opts.Stencil = st
-		if _, err := Analyze(mag, opts); err != nil {
-			t.Errorf("stencil %d rejected: %v", st, err)
-		}
+	for _, st := range stencils {
+		b.Run(st.name, func(b *testing.B) {
+			var errPct float64
+			for i := 0; i < b.N; i++ {
+				u, ln := logs(mag)
+				p := make([]float64, len(u))
+				st.fill(p, u, ln)
+				res := peaks(wave.NewReal("p", mag.X, p), u, DefaultOptions())
+				errPct = 100 * math.Abs(res.Dominant.Value+28.905) / 28.905
+			}
+			b.ReportMetric(errPct, "peak_err_%")
+		})
 	}
 }

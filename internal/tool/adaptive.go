@@ -214,7 +214,7 @@ func (t *Tool) adaptiveColumns(ctx context.Context, op *mna.OpPoint, idx []int) 
 		var refiners []refiner
 		for i := range grids {
 			g := &grids[i]
-			want, wantU := stab.RefinePlanLogs(g.freqs, g.u, g.lnm, ropt)
+			want, wantU := stab.RefinePlan(g.freqs, g.u, g.lnm, ropt)
 			if len(want) == 0 {
 				continue
 			}

@@ -178,8 +178,8 @@ func TestAdaptiveSingleNode(t *testing.T) {
 
 // TestAdaptiveOptionValidation pins the satellite flag-validation
 // contract: negative grid knobs, refine caps below the coarse resolution
-// or above the unbounded-refinement guard are all rejected at Tool
-// construction.
+// or above the unbounded-refinement guard, and dense or coarse grids
+// above maxSweepPoints are all rejected at Tool construction.
 func TestAdaptiveOptionValidation(t *testing.T) {
 	base := DefaultOptions()
 	cases := []struct {
@@ -196,6 +196,13 @@ func TestAdaptiveOptionValidation(t *testing.T) {
 		{"unbounded refine", func(o *Options) {
 			o.CoarsePointsPerDecade = 8
 			o.RefinePointsPerDecade = 20000
+		}},
+		{"oversize dense grid", func(o *Options) { o.PointsPerDecade = 1e9 }},
+		{"unbounded span", func(o *Options) { o.FStart, o.FStop = 1e-300, 1e300 }},
+		{"oversize coarse grid", func(o *Options) {
+			o.FStart, o.FStop = 1, 1e30
+			o.CoarsePointsPerDecade = 5000
+			o.RefinePointsPerDecade = 5000
 		}},
 	}
 	ckt, _, _ := randomTankLadder(rand.New(rand.NewSource(1)), 1)

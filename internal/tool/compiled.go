@@ -22,6 +22,7 @@ import (
 	"acstab/internal/analysis"
 	"acstab/internal/mna"
 	"acstab/internal/netlist"
+	"acstab/internal/num"
 	"acstab/internal/obs"
 )
 
@@ -158,6 +159,9 @@ func withRunDefaults(opts Options) (Options, error) {
 	if opts.RefineThreshold < 0 {
 		return opts, fmt.Errorf("tool: refine threshold must be >= 0 (0 = default %g), got %g", defRefineThreshold, opts.RefineThreshold)
 	}
+	if ge := CheckGrids(opts); ge != nil {
+		return opts, fmt.Errorf("tool: %w", ge)
+	}
 	if opts.CoarsePointsPerDecade > 0 {
 		if opts.RefinePointsPerDecade == 0 {
 			opts.RefinePointsPerDecade = opts.PointsPerDecade
@@ -175,4 +179,44 @@ func withRunDefaults(opts Options) (Options, error) {
 		}
 	}
 	return opts, nil
+}
+
+// maxSweepPoints caps the length of the dense and the coarse frequency
+// grid of a run. The paper's workflows sweep a few hundred points; the
+// cap only stops a points-per-decade or span so large that building the
+// grid would exhaust memory, a failure no recover can catch.
+const maxSweepPoints = 100000
+
+// GridError rejects a run whose dense or coarse frequency grid would hold
+// more than maxSweepPoints points.
+type GridError struct {
+	// Coarse marks the adaptive coarse grid; false is the dense grid.
+	Coarse bool
+	// Points is the grid length the options ask for.
+	Points float64
+}
+
+// Error implements the error interface.
+func (e *GridError) Error() string {
+	grid := "dense"
+	if e.Coarse {
+		grid = "coarse"
+	}
+	return fmt.Sprintf("%s sweep grid of %g points exceeds the %d-point cap", grid, e.Points, maxSweepPoints)
+}
+
+// CheckGrids returns a GridError when the dense grid (FStart..FStop at
+// PointsPerDecade) or, on adaptive runs, the coarse grid would exceed
+// maxSweepPoints. It reads the options as given: a zero PointsPerDecade
+// counts as 1 point per decade, as num.LogGridPPD does.
+func CheckGrids(opts Options) *GridError {
+	if n := num.LogGridLen(opts.FStart, opts.FStop, opts.PointsPerDecade); !(n <= maxSweepPoints) {
+		return &GridError{Points: n}
+	}
+	if opts.CoarsePointsPerDecade > 0 {
+		if n := num.LogGridLen(opts.FStart, opts.FStop, opts.CoarsePointsPerDecade); !(n <= maxSweepPoints) {
+			return &GridError{Coarse: true, Points: n}
+		}
+	}
+	return nil
 }

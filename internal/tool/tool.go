@@ -214,34 +214,31 @@ func (t *Tool) SingleNode(ctx context.Context, node string) (*NodeResult, error)
 		return nil, err
 	}
 	mSingleNodeRuns.Inc()
+	// Both grids run the diag kernel, as AllNodes does, so a node's peaks
+	// are the ones its all-nodes row reports.
+	var freqs []float64
+	var col []complex128
 	if t.adaptive() {
-		// The adaptive engine produces the same driving-point values the
-		// full-column sweep would (the diag kernel agrees with full
-		// substitutions on the shared factorization to 1e-9, and sampled
-		// probes cross-check it), on a per-node grid focused around this
-		// node's resonances.
-		perNode, cols, aerr := t.adaptiveColumns(ctx, op, []int{idx})
-		if aerr != nil {
-			return nil, aerr
+		perNode, cols, err := t.adaptiveColumns(ctx, op, []int{idx})
+		if err != nil {
+			return nil, err
 		}
-		mSweepNodes.Inc()
-		mSweepPoints.Add(int64(len(perNode[0])))
-		sp := obs.StartPhase(t.Opts.Trace, "stability")
-		defer sp.End()
-		return t.analyzeColumn(strings.ToLower(node), perNode[0], cols[0])
-	}
-	freqs := t.Grid()
-	sp := obs.StartPhase(t.Opts.Trace, "sweep")
-	cols, err := t.Sim.ImpedanceMatrixColumns(ctx, freqs, op, []int{idx})
-	sp.End()
-	if err != nil {
-		return nil, err
+		freqs, col = perNode[0], cols[0]
+	} else {
+		freqs = t.Grid()
+		sp := obs.StartPhase(t.Opts.Trace, "sweep")
+		cols, err := t.Sim.ImpedanceDiagSweep(ctx, freqs, op, []int{idx})
+		sp.End()
+		if err != nil {
+			return nil, err
+		}
+		col = cols[0]
 	}
 	mSweepNodes.Inc()
 	mSweepPoints.Add(int64(len(freqs)))
-	sp = obs.StartPhase(t.Opts.Trace, "stability")
+	sp := obs.StartPhase(t.Opts.Trace, "stability")
 	defer sp.End()
-	return t.analyzeColumn(strings.ToLower(node), freqs, cols[0])
+	return t.analyzeColumn(strings.ToLower(node), freqs, col)
 }
 
 // analyzeColumn converts one impedance column into a NodeResult.

@@ -208,6 +208,59 @@ func TestNodeSubsetIndependence(t *testing.T) {
 	}
 }
 
+// TestSingleNodeMatchesAllNodes: single-node and all-nodes runs take the
+// same Z_kk route, so on one worker every node's single-node peaks equal
+// its all-nodes row bit for bit, on the dense and the adaptive grid.
+func TestSingleNodeMatchesAllNodes(t *testing.T) {
+	ckts := map[string]func() *netlist.Circuit{
+		"opamp":  func() *netlist.Circuit { return circuits.OpAmpBuffer(circuits.OpAmpDefaults()) },
+		"bias":   func() *netlist.Circuit { return circuits.BiasCircuit(circuits.BiasDefaults()) },
+		"ladder": func() *netlist.Circuit { return circuits.RCLadder(40) },
+	}
+	for name, ckt := range ckts {
+		for _, coarse := range []int{0, 8} {
+			opts := DefaultOptions()
+			opts.Workers = 1
+			opts.CoarsePointsPerDecade = coarse
+			tl, err := New(ckt(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := tl.AllNodes(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range rep.Nodes {
+				one, err := New(ckt(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nr, err := one.SingleNode(context.Background(), row.Node)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if nr.Skipped != row.Skipped {
+					t.Errorf("%s coarse=%d %s: skipped %v, all-nodes %v", name, coarse, row.Node, nr.Skipped, row.Skipped)
+					continue
+				}
+				if nr.Skipped {
+					continue
+				}
+				got, want := nr.Stab.Peaks, row.Stab.Peaks
+				if len(got) != len(want) {
+					t.Errorf("%s coarse=%d %s: %d peaks, all-nodes %d", name, coarse, row.Node, len(got), len(want))
+					continue
+				}
+				for i := range got {
+					if got[i].Freq != want[i].Freq || got[i].Value != want[i].Value || got[i].Type != want[i].Type {
+						t.Errorf("%s coarse=%d %s peak %d: %+v, all-nodes %+v", name, coarse, row.Node, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSkipNodesFilter(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SkipNodes = []string{"net066x"}
