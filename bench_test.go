@@ -751,8 +751,9 @@ C1 t 0 1n
 }
 
 // benchAllNodesNumerics mirrors benchAllNodesScaling with the
-// numerical-health observatory explicitly on (defaults) or off (all three
-// knobs negative), so the two arms differ only in residual telemetry.
+// numerical-health observatory explicitly on (defaults) or off (a negative
+// ResidualThreshold, which also stops the diag-kernel probes and the
+// condition samples), so the two arms differ only in residual telemetry.
 func benchAllNodesNumerics(b *testing.B, loops int, numerics bool) {
 	ckt := circuits.ResonatorField(loops, 1e5, 0.35)
 	opts := tool.DefaultOptions()
@@ -760,8 +761,6 @@ func benchAllNodesNumerics(b *testing.B, loops int, numerics bool) {
 	aopts := analysis.DefaultOptions()
 	if !numerics {
 		aopts.ResidualThreshold = -1
-		aopts.ResidualProbeEvery = -1
-		aopts.CondSamples = -1
 	}
 	opts.Analysis = &aopts
 	tl, err := tool.New(ckt, opts)
@@ -821,8 +820,6 @@ func TestEmitNumericsBenchSummary(t *testing.T) {
 		aopts := analysis.DefaultOptions()
 		if !numerics {
 			aopts.ResidualThreshold = -1
-			aopts.ResidualProbeEvery = -1
-			aopts.CondSamples = -1
 		}
 		opts.Analysis = &aopts
 		tl, err := tool.New(ckt, opts)

@@ -62,9 +62,7 @@ func runWith(args []string, out, errOut io.Writer) error {
 		fstart    = fs.String("fstart", "1k", "sweep start frequency")
 		fstop     = fs.String("fstop", "1g", "sweep stop frequency")
 		ppd       = fs.Int("ppd", 40, "points per decade")
-		coarsePPD = fs.Int("coarse-ppd", 0, "adaptive sweep: coarse pass resolution in points per decade (0 = adaptive off, dense uniform grid)")
-		refinePPD = fs.Int("refine-ppd", 0, "adaptive sweep: refinement resolution cap in points per decade (0 = -ppd)")
-		refineThr = fs.Float64("refine-threshold", 0, "adaptive sweep: |P| level that marks an interval resonant (0 = default 0.5)")
+		coarsePPD = fs.Int("coarse-ppd", 0, "adaptive sweep: coarse pass resolution in points per decade, refined up to -ppd near resonances (0 = adaptive off, dense uniform grid)")
 		format    = fs.String("format", "text", "all-nodes output: text, csv, json")
 		annotate  = fs.Bool("annotate", false, "print the annotated netlist instead of the report")
 		plot      = fs.Bool("plot", false, "render ASCII plots (single-node mode)")
@@ -175,8 +173,6 @@ func runWith(args []string, out, errOut io.Writer) error {
 	}
 	opts.PointsPerDecade = *ppd
 	opts.CoarsePointsPerDecade = *coarsePPD
-	opts.RefinePointsPerDecade = *refinePPD
-	opts.RefineThreshold = *refineThr
 	opts.Workers = *workers
 	opts.LoopTol = *loopTol
 	if *resTol != 0 {

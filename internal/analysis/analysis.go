@@ -72,12 +72,17 @@ func decadeBounds(lo, hi int) []float64 {
 // scale-relative, so a 1e-9 threshold (matching the CI accuracy gate and
 // the solver property tests) never triggers refinement on a well-behaved
 // sweep — the observatory is pure telemetry until something actually
-// degrades. The diag-kernel probe stride keeps the full-solve residual
-// probe under the <5% sweep-overhead budget.
+// degrades. While the observatory is on, every residualProbeEvery-th
+// frequency point of a diagonal-only sweep runs one full solve so its
+// residual can be measured and its Z_kk cross-checked against the
+// selected-inverse kernel's (which produces only the diagonal and has no
+// full solution vector to verify); the stride keeps that probe under the
+// <5% sweep-overhead budget. condSamples Hager/Higham 1-norm condition
+// estimates are taken per sweep, evenly spaced.
 const (
-	defResidualThreshold  = 1e-9
-	defResidualProbeEvery = 16
-	defCondSamples        = 2
+	defResidualThreshold = 1e-9
+	residualProbeEvery   = 16
+	condSamples          = 2
 	// diagProbeTol is the scale-relative agreement the sampled full-solve
 	// probe demands of the selected-inverse kernel's Z_kk.
 	diagProbeTol = 1e-9
@@ -97,19 +102,9 @@ type Options struct {
 	// ‖A·x−b‖∞/(‖A‖∞‖x‖∞+‖b‖∞) above which a frequency point triggers the
 	// refinement escalation ladder. 0 selects the built-in default (1e-9);
 	// a negative value disables the numerical-health observatory entirely
-	// (no residual SpMV, no refinement, no telemetry).
+	// (no residual SpMV, no refinement, no probes, no condition
+	// estimates, no telemetry).
 	ResidualThreshold float64
-	// ResidualProbeEvery is the diag-kernel probe stride: every Nth
-	// frequency point of a diagonal-only sweep runs one full solve so its
-	// residual can be measured and its Z_kk cross-checked against the
-	// selected-inverse kernel's (which produces only the diagonal and has
-	// no full solution vector to verify). 0 selects the default (16);
-	// negative disables probing.
-	ResidualProbeEvery int
-	// CondSamples is how many Hager/Higham 1-norm condition estimates to
-	// take per sweep, evenly spaced. 0 selects the default (2); negative
-	// disables condition sampling.
-	CondSamples int
 }
 
 // DefaultOptions returns the solver defaults documented in DESIGN.md.
@@ -582,8 +577,6 @@ type acFactorizer struct {
 	resThreshold float64
 	resHist      *obs.LocalHistogram
 	growthHist   *obs.LocalHistogram
-	probeEvery   int
-	condSamples  int
 	condBudget   int
 	r, d         []complex128 // residual + refinement-correction scratch, lazy
 	cv, cz       []complex128 // condition-estimate scratch, lazy
@@ -649,19 +642,7 @@ func (s *Sim) newACFactorizer(omega0 float64, op *mna.OpPoint) *acFactorizer {
 		fz.resThreshold = defResidualThreshold
 	}
 	if fz.resThreshold > 0 {
-		switch {
-		case s.Opt.ResidualProbeEvery > 0:
-			fz.probeEvery = s.Opt.ResidualProbeEvery
-		case s.Opt.ResidualProbeEvery == 0:
-			fz.probeEvery = defResidualProbeEvery
-		}
-		switch {
-		case s.Opt.CondSamples > 0:
-			fz.condSamples = s.Opt.CondSamples
-		case s.Opt.CondSamples == 0:
-			fz.condSamples = defCondSamples
-		}
-		fz.condBudget = fz.condSamples
+		fz.condBudget = condSamples
 		fz.health = make([]obs.SlowPoint, 0, obs.MaxHealthPoints)
 		fz.resHist = mACResidual.Local()
 		fz.growthHist = mACPivotGrowth.Local()
@@ -852,10 +833,10 @@ func (fz *acFactorizer) observeResidual(eta, freqHz float64) {
 // feed ‖A‖₁ and the conjugate-transpose solve walks the frozen fill
 // pattern).
 func (fz *acFactorizer) condSampleAt(k, n int) {
-	if fz.kind != solveKindRefactor || fz.num == nil || fz.condBudget <= 0 || fz.condSamples <= 0 {
+	if fz.kind != solveKindRefactor || fz.num == nil || fz.condBudget <= 0 {
 		return
 	}
-	stride := n / fz.condSamples
+	stride := n / condSamples
 	if stride < 1 {
 		stride = 1
 	}
@@ -1137,8 +1118,9 @@ func (fz *acFactorizer) solveColumns(slv *sparse.Numeric, f float64, k int, node
 
 // probeDiag is the sampled differential check of the diagonal kernel,
 // which produces only the Z_kk values and so has no full solution to
-// verify: every probeEvery-th frequency runs one full solve for the first
-// node on the refactor-path factorization num and verifies its residual.
+// verify: every residualProbeEvery-th frequency runs one full solve for
+// the first node on the refactor-path factorization num and verifies its
+// residual.
 // A verified, unrepaired probe must agree with the kernel's Z_kk to
 // diagProbeTol relative to the solution scale ‖x‖∞ (ℓ1 moduli); the
 // kernel's value is kept, so results do not depend on where the probes
@@ -1282,7 +1264,7 @@ func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.O
 		fz.diagSolves++
 		fz.diagRows += si.Entries()
 		kind := solveKindDiag
-		if fz.resThreshold > 0 && fz.probeEvery > 0 && k%fz.probeEvery == 0 {
+		if fz.resThreshold > 0 && k%residualProbeEvery == 0 {
 			if err := fz.probeDiag(slv, f, k, nodeIdx, out, b, x); err != nil {
 				return "", err
 			}

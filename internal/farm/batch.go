@@ -374,30 +374,7 @@ func (e *ItemError) Error() string {
 // when every variant got an answer (possibly a per-item error: check
 // each result's Err).
 func (c *Client) SubmitBatch(ctx context.Context, req *BatchRequest) ([]BatchResult, error) {
-	hc := c.HTTPClient
-	if hc == nil {
-		t := c.Timeout
-		if t <= 0 {
-			t = 5 * time.Minute
-		}
-		hc = &http.Client{Timeout: t}
-	}
-	base := c.RetryBaseDelay
-	if base <= 0 {
-		base = 200 * time.Millisecond
-	}
-	maxDelay := c.MaxRetryDelay
-	if maxDelay <= 0 {
-		maxDelay = 5 * time.Second
-	}
-	retries := c.MaxRetries
-	if retries == 0 {
-		retries = 3
-	}
-	if retries < 0 {
-		retries = 0
-	}
-
+	p := c.policy()
 	results := make([]BatchResult, len(req.Variants))
 	pending := make([]int, len(req.Variants))
 	for i, v := range req.Variants {
@@ -405,7 +382,6 @@ func (c *Client) SubmitBatch(ctx context.Context, req *BatchRequest) ([]BatchRes
 		pending[i] = i
 	}
 
-	var lastErr error
 	for attempt := 0; ; attempt++ {
 		wire := *req
 		wire.V = WireV2
@@ -418,7 +394,7 @@ func (c *Client) SubmitBatch(ctx context.Context, req *BatchRequest) ([]BatchRes
 		if err != nil {
 			return results, err
 		}
-		items, err := c.submitBatchOnce(ctx, hc, payload)
+		items, err := c.submitBatchOnce(ctx, p.hc, payload)
 		// Fold whatever arrived — even a failed attempt may have streamed
 		// some items before dying, and those stay answered.
 		answered := make([]bool, len(pending))
@@ -452,24 +428,7 @@ func (c *Client) SubmitBatch(ctx context.Context, req *BatchRequest) ([]BatchRes
 			// transport failure and re-submit the remainder.
 			err = fmt.Errorf("farm: batch response ended with %d variants unanswered", len(pending))
 		}
-		lastErr = err
-		if attempt >= retries || !retryable(err) || ctx.Err() != nil {
-			for _, orig := range pending {
-				if results[orig].Err == nil {
-					results[orig].Err = lastErr
-				}
-			}
-			return results, lastErr
-		}
-		delay := backoffDelay(base, maxDelay, attempt)
-		var se *StatusError
-		if errors.As(err, &se) && se.RetryAfter > delay {
-			delay = se.RetryAfter
-		}
-		select {
-		case <-time.After(delay):
-		case <-ctx.Done():
-			err := fmt.Errorf("farm: %w (last attempt: %v)", ctx.Err(), lastErr)
+		if err := p.retry(ctx, attempt, err); err != nil {
 			for _, orig := range pending {
 				if results[orig].Err == nil {
 					results[orig].Err = err
@@ -501,18 +460,7 @@ func (c *Client) submitBatchOnce(ctx context.Context, hc *http.Client, payload [
 	}()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
-		se := &StatusError{StatusCode: resp.StatusCode, Message: string(bytes.TrimSpace(body))}
-		var eb ErrorBody
-		if json.Unmarshal(body, &eb) == nil && eb.Error.Code != "" {
-			se.Code = eb.Error.Code
-			se.Message = eb.Error.Message
-		}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {
-				se.RetryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		return nil, se
+		return nil, statusError(resp, body)
 	}
 	var items []BatchItem
 	dec := json.NewDecoder(resp.Body)

@@ -121,11 +121,9 @@ type RequestOptions struct {
 	PointsPerDecade int     `json:"points_per_decade,omitempty"`
 	// CoarsePointsPerDecade > 0 switches the run to the two-level adaptive
 	// sweep: a coarse pass at this resolution plus targeted refinement up
-	// to RefinePointsPerDecade around detected resonances. The grids are
+	// to PointsPerDecade around detected resonances. The grids are
 	// deterministic per node, so sharded runs merge byte-identically.
 	CoarsePointsPerDecade int      `json:"coarse_points_per_decade,omitempty"`
-	RefinePointsPerDecade int      `json:"refine_points_per_decade,omitempty"`
-	RefineThreshold       float64  `json:"refine_threshold,omitempty"`
 	LoopTol               float64  `json:"loop_tol,omitempty"`
 	Workers               int      `json:"workers,omitempty"`
 	SkipNodes             []string `json:"skip_nodes,omitempty"`
@@ -1074,14 +1072,7 @@ func (c *Client) SubmitCollect(ctx context.Context, req *Request) ([]byte, *obs.
 }
 
 func (c *Client) submit(ctx context.Context, req *Request, run *obs.Run, collect bool) ([]byte, *obs.Trace, error) {
-	hc := c.HTTPClient
-	if hc == nil {
-		t := c.Timeout
-		if t <= 0 {
-			t = 5 * time.Minute
-		}
-		hc = &http.Client{Timeout: t}
-	}
+	p := c.policy()
 	wire := *req
 	if wire.V == 0 {
 		wire.V = WireVersion
@@ -1096,27 +1087,10 @@ func (c *Client) submit(ctx context.Context, req *Request, run *obs.Run, collect
 	if err != nil {
 		return nil, nil, err
 	}
-	base := c.RetryBaseDelay
-	if base <= 0 {
-		base = 200 * time.Millisecond
-	}
-	maxDelay := c.MaxRetryDelay
-	if maxDelay <= 0 {
-		maxDelay = 5 * time.Second
-	}
-	retries := c.MaxRetries
-	if retries == 0 {
-		retries = 3
-	}
-	if retries < 0 {
-		retries = 0
-	}
-
-	var lastErr error
 	for attempt := 0; ; attempt++ {
 		attemptStart := time.Now()
 		sp := obs.StartPhase(run, "farm_submit")
-		body, tr, err := c.submitOnce(ctx, hc, payload)
+		body, tr, err := c.submitOnce(ctx, p.hc, payload)
 		sp.End()
 		if err == nil {
 			if run != nil && tr != nil {
@@ -1124,20 +1098,65 @@ func (c *Client) submit(ctx context.Context, req *Request, run *obs.Run, collect
 			}
 			return body, tr, nil
 		}
-		lastErr = err
-		if attempt >= retries || !retryable(err) || ctx.Err() != nil {
-			return nil, nil, lastErr
+		if err := p.retry(ctx, attempt, err); err != nil {
+			return nil, nil, err
 		}
-		delay := backoffDelay(base, maxDelay, attempt)
-		var se *StatusError
-		if errors.As(err, &se) && se.RetryAfter > delay {
-			delay = se.RetryAfter
+	}
+}
+
+// retryPolicy is a Client's resolved transport and retry settings.
+type retryPolicy struct {
+	hc             *http.Client
+	base, maxDelay time.Duration
+	retries        int
+}
+
+// policy resolves the client's settings, filling the documented defaults:
+// a 5m per-attempt timeout, a 200ms backoff base capped at 5s, and 3
+// retries.
+func (c *Client) policy() retryPolicy {
+	p := retryPolicy{hc: c.HTTPClient, base: c.RetryBaseDelay, maxDelay: c.MaxRetryDelay, retries: c.MaxRetries}
+	if p.hc == nil {
+		t := c.Timeout
+		if t <= 0 {
+			t = 5 * time.Minute
 		}
-		select {
-		case <-time.After(delay):
-		case <-ctx.Done():
-			return nil, nil, fmt.Errorf("farm: %w (last attempt: %v)", ctx.Err(), lastErr)
-		}
+		p.hc = &http.Client{Timeout: t}
+	}
+	if p.base <= 0 {
+		p.base = 200 * time.Millisecond
+	}
+	if p.maxDelay <= 0 {
+		p.maxDelay = 5 * time.Second
+	}
+	if p.retries == 0 {
+		p.retries = 3
+	}
+	if p.retries < 0 {
+		p.retries = 0
+	}
+	return p
+}
+
+// retry follows the failure err of attempt (0-based). When the call ends
+// there (retries spent, failure not retryable, ctx done) it returns err.
+// Otherwise it waits out the backoff, the jittered exponential delay or
+// the worker's Retry-After hint when that is longer, and returns nil; if
+// ctx ends first it returns ctx's error together with err.
+func (p retryPolicy) retry(ctx context.Context, attempt int, err error) error {
+	if attempt >= p.retries || !retryable(err) || ctx.Err() != nil {
+		return err
+	}
+	delay := backoffDelay(p.base, p.maxDelay, attempt)
+	var se *StatusError
+	if errors.As(err, &se) && se.RetryAfter > delay {
+		delay = se.RetryAfter
+	}
+	select {
+	case <-time.After(delay):
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("farm: %w (last attempt: %v)", ctx.Err(), err)
 	}
 }
 
@@ -1166,18 +1185,7 @@ func (c *Client) submitOnce(ctx context.Context, hc *http.Client, payload []byte
 		return nil, nil, fmt.Errorf("farm: reading response: %w", readErr)
 	}
 	if resp.StatusCode != http.StatusOK {
-		se := &StatusError{StatusCode: resp.StatusCode, Message: string(bytes.TrimSpace(body))}
-		var eb ErrorBody
-		if json.Unmarshal(body, &eb) == nil && eb.Error.Code != "" {
-			se.Code = eb.Error.Code
-			se.Message = eb.Error.Message
-		}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {
-				se.RetryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		return nil, nil, se
+		return nil, nil, statusError(resp, body)
 	}
 	if resp.Header.Get(TraceHeader) != "" {
 		var env TracedResponse
@@ -1187,6 +1195,24 @@ func (c *Client) submitOnce(ctx context.Context, hc *http.Client, payload []byte
 		return env.Body, env.Trace, nil
 	}
 	return body, nil, nil
+}
+
+// statusError decodes a non-200 worker reply: the status, the structured
+// code and message when body is an ErrorBody (else the raw body as the
+// message), and the Retry-After hint.
+func statusError(resp *http.Response, body []byte) *StatusError {
+	se := &StatusError{StatusCode: resp.StatusCode, Message: string(bytes.TrimSpace(body))}
+	var eb ErrorBody
+	if json.Unmarshal(body, &eb) == nil && eb.Error.Code != "" {
+		se.Code = eb.Error.Code
+		se.Message = eb.Error.Message
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {
+			se.RetryAfter = time.Duration(secs) * time.Second
+		}
+	}
+	return se
 }
 
 // newTraceID returns a random 64-bit hex correlation ID.

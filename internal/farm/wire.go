@@ -4,15 +4,16 @@
 // rejection, and options defaulting scattered through the run path — so
 // the worker's defaults and the CLI's could drift apart. DecodeRequest
 // and DecodeBatchRequest now funnel both endpoints through one strict
-// decoder and one RequestOptions.Normalize, and every rejection carries a
-// typed code (plus the offending field for bad_option) that clients can
-// dispatch on.
+// decoder and one RequestOptions.Normalize, which leaves every option rule
+// to tool.ResolveOptions, and every rejection carries a typed code (plus
+// the offending field for bad_option) that clients can dispatch on.
 
 package farm
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -40,75 +41,27 @@ func (e *FieldError) Error() string {
 	return fmt.Sprintf("option %s: %s", e.Field, e.Reason)
 }
 
-// Normalize maps the wire options to tool.Options: zero values take the
-// documented server defaults, set values are validated, and any rejection
-// comes back as a *FieldError naming the offending wire field. This is
-// the single defaulting path — the v1 and v2 endpoints, the local Run
-// helper, and the CLI all agree because they all call it.
+// Normalize maps the wire options to tool.Options. It only decodes: a
+// zero field takes the server default, a negative field is refused, and
+// the worker count is clamped. Every other rule is tool.ResolveOptions',
+// called once here so that a request a run would refuse is refused at
+// decode; its *tool.OptionError comes back as a *FieldError naming the
+// wire field. The v1 and v2 endpoints and the local Run helper all call
+// it.
 func (o RequestOptions) Normalize() (tool.Options, error) {
 	opts := tool.DefaultOptions()
-	if o.FStartHz < 0 {
-		return opts, &FieldError{Field: "fstart_hz", Reason: "must be >= 0 (0 = server default)"}
-	}
-	if o.FStartHz > 0 {
-		opts.FStart = o.FStartHz
-	}
-	if o.FStopHz < 0 {
-		return opts, &FieldError{Field: "fstop_hz", Reason: "must be >= 0 (0 = server default)"}
-	}
-	if o.FStopHz > 0 {
-		opts.FStop = o.FStopHz
-	}
-	if opts.FStop <= opts.FStart {
-		return opts, &FieldError{Field: "fstop_hz",
-			Reason: fmt.Sprintf("sweep stop %g Hz not above start %g Hz", opts.FStop, opts.FStart)}
-	}
-	if o.PointsPerDecade < 0 {
-		return opts, &FieldError{Field: "points_per_decade", Reason: "must be >= 0 (0 = server default)"}
-	}
-	if o.PointsPerDecade > 0 {
-		opts.PointsPerDecade = o.PointsPerDecade
-	}
-	if o.CoarsePointsPerDecade < 0 {
-		return opts, &FieldError{Field: "coarse_points_per_decade", Reason: "must be >= 0 (0 = adaptive off)"}
-	}
-	if o.CoarsePointsPerDecade > 0 {
-		opts.CoarsePointsPerDecade = o.CoarsePointsPerDecade
-	}
-	if o.RefinePointsPerDecade < 0 {
-		return opts, &FieldError{Field: "refine_points_per_decade", Reason: "must be >= 0 (0 = server default)"}
-	}
-	if o.RefinePointsPerDecade > 0 {
-		if o.CoarsePointsPerDecade <= 0 {
-			return opts, &FieldError{Field: "refine_points_per_decade",
-				Reason: "requires coarse_points_per_decade > 0 (adaptive sweeps only)"}
+	for _, err := range []error{
+		decodeField(&opts.FStart, o.FStartHz, "fstart_hz", "server default"),
+		decodeField(&opts.FStop, o.FStopHz, "fstop_hz", "server default"),
+		decodeField(&opts.PointsPerDecade, o.PointsPerDecade, "points_per_decade", "server default"),
+		decodeField(&opts.CoarsePointsPerDecade, o.CoarsePointsPerDecade, "coarse_points_per_decade", "adaptive off"),
+		decodeField(&opts.LoopTol, o.LoopTol, "loop_tol", "server default"),
+		decodeField(&opts.Workers, o.Workers, "workers", "GOMAXPROCS"),
+	} {
+		if err != nil {
+			return opts, err
 		}
-		opts.RefinePointsPerDecade = o.RefinePointsPerDecade
 	}
-	if o.RefineThreshold < 0 {
-		return opts, &FieldError{Field: "refine_threshold", Reason: "must be >= 0 (0 = server default)"}
-	}
-	if o.RefineThreshold > 0 {
-		if o.CoarsePointsPerDecade <= 0 {
-			return opts, &FieldError{Field: "refine_threshold",
-				Reason: "requires coarse_points_per_decade > 0 (adaptive sweeps only)"}
-		}
-		opts.RefineThreshold = o.RefineThreshold
-	}
-	if opts.CoarsePointsPerDecade > 0 && opts.RefinePointsPerDecade > 0 && opts.RefinePointsPerDecade < opts.CoarsePointsPerDecade {
-		return opts, &FieldError{Field: "refine_points_per_decade",
-			Reason: fmt.Sprintf("must be >= coarse_points_per_decade (%d)", opts.CoarsePointsPerDecade)}
-	}
-	if o.LoopTol < 0 {
-		return opts, &FieldError{Field: "loop_tol", Reason: "must be >= 0 (0 = server default)"}
-	}
-	if o.LoopTol > 0 {
-		opts.LoopTol = o.LoopTol
-	}
-	if o.Workers < 0 {
-		return opts, &FieldError{Field: "workers", Reason: "must be >= 0 (0 = GOMAXPROCS)"}
-	}
-	opts.Workers = o.Workers
 	// The worker count is wire-supplied: without a ceiling a remote caller
 	// can demand millions of sweep goroutines per job. Sweep workers are
 	// CPU-bound, so anything beyond the CPU count only burns memory; the
@@ -116,17 +69,37 @@ func (o RequestOptions) Normalize() (tool.Options, error) {
 	if max := MaxWireWorkers(); opts.Workers > max {
 		opts.Workers = max
 	}
-	if ge := tool.CheckGrids(opts); ge != nil {
-		field := "points_per_decade"
-		if ge.Coarse {
-			field = "coarse_points_per_decade"
-		}
-		return opts, &FieldError{Field: field, Reason: ge.Error()}
-	}
 	opts.SkipNodes = o.SkipNodes
 	opts.OnlyNodes = o.OnlyNodes
 	opts.OnlySubckt = o.OnlySubckt
-	return opts, nil
+	opts, err := tool.ResolveOptions(opts)
+	var oe *tool.OptionError
+	if errors.As(err, &oe) {
+		return opts, &FieldError{Field: wireFields[oe.Option], Reason: oe.Reason}
+	}
+	return opts, err
+}
+
+// wireFields names the wire field of each tool.Options field that
+// tool.ResolveOptions can reject.
+var wireFields = map[string]string{
+	"FStart":                "fstart_hz",
+	"FStop":                 "fstop_hz",
+	"PointsPerDecade":       "points_per_decade",
+	"CoarsePointsPerDecade": "coarse_points_per_decade",
+}
+
+// decodeField applies the decode rule every numeric wire option shares:
+// 0 keeps the server default in *dst, a positive value replaces it, and a
+// negative value is a *FieldError that says what 0 would have meant.
+func decodeField[T int | float64](dst *T, v T, field, zero string) error {
+	if v < 0 {
+		return &FieldError{Field: field, Reason: "must be >= 0 (0 = " + zero + ")"}
+	}
+	if v > 0 {
+		*dst = v
+	}
+	return nil
 }
 
 // WireOptions is the inverse of Normalize: it maps run options onto the
@@ -140,8 +113,6 @@ func WireOptions(opts tool.Options) RequestOptions {
 		FStopHz:               opts.FStop,
 		PointsPerDecade:       opts.PointsPerDecade,
 		CoarsePointsPerDecade: opts.CoarsePointsPerDecade,
-		RefinePointsPerDecade: opts.RefinePointsPerDecade,
-		RefineThreshold:       opts.RefineThreshold,
 		LoopTol:               opts.LoopTol,
 		Workers:               opts.Workers,
 		SkipNodes:             opts.SkipNodes,

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,6 +11,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"acstab/internal/obs"
 )
 
 func TestNormalizeDefaults(t *testing.T) {
@@ -60,9 +63,7 @@ func TestWireOptionsRoundTrip(t *testing.T) {
 			in.OnlySubckt = fmt.Sprintf("x%d", rng.Intn(4))
 		}
 		if rng.Intn(2) == 0 {
-			in.CoarsePointsPerDecade = 1 + rng.Intn(20)
-			in.RefinePointsPerDecade = in.CoarsePointsPerDecade + rng.Intn(100)
-			in.RefineThreshold = rng.Float64()
+			in.CoarsePointsPerDecade = 1 + rng.Intn(in.PointsPerDecade)
 		}
 		opts, err := in.Normalize()
 		if err != nil {
@@ -135,7 +136,10 @@ func TestNormalizeFieldErrors(t *testing.T) {
 		{"oversize grid", RequestOptions{PointsPerDecade: 1e9}, "points_per_decade"},
 		{"unbounded span", RequestOptions{FStartHz: 1e-300, FStopHz: 1e300}, "points_per_decade"},
 		{"oversize coarse grid", RequestOptions{FStartHz: 1, FStopHz: 1e30,
-			CoarsePointsPerDecade: 5000, RefinePointsPerDecade: 5000}, "coarse_points_per_decade"},
+			CoarsePointsPerDecade: 5000, PointsPerDecade: 5000}, "coarse_points_per_decade"},
+		{"coarse above ppd", RequestOptions{CoarsePointsPerDecade: 50}, "coarse_points_per_decade"},
+		{"adaptive ppd above 10000", RequestOptions{FStartHz: 1e3, FStopHz: 1e6,
+			CoarsePointsPerDecade: 8, PointsPerDecade: 20000}, "points_per_decade"},
 	} {
 		_, err := tc.in.Normalize()
 		var fe *FieldError
@@ -179,5 +183,36 @@ func TestOversizeGridIs400(t *testing.T) {
 	code, resp := postJSON(t, srv, body)
 	if code != http.StatusBadRequest || !strings.Contains(resp, CodeBadOption) || !strings.Contains(resp, "points_per_decade") {
 		t.Errorf("status %d, body %q", code, resp)
+	}
+}
+
+// TestRunRefusedOptionsAre400: options a run would refuse are refused at
+// decode on both endpoints, as one 400 bad_option naming the wire field,
+// before the netlist is parsed or compiled (the compile cache sees no
+// miss) — not after the compile, as a 422 on /run or as one failed item
+// per variant on /batch.
+func TestRunRefusedOptionsAre400(t *testing.T) {
+	srv := httptest.NewServer(Handler())
+	defer srv.Close()
+	misses := obs.GetCounter("acstab_cache_misses_total")
+	before := misses.Value()
+	opts := `"options": {"coarse_points_per_decade": 50}`
+	code, body := postJSON(t, srv, fmt.Sprintf(`{"netlist": %q, %s}`, tankNetlist, opts))
+	checkBadOption(t, "/run", code, body, "coarse_points_per_decade")
+	code, _, body = postBatch(t, srv, fmt.Sprintf(`{"v": 2, "netlist": %q, "variants": [{}, {"label": "b"}], %s}`, tankNetlist, opts))
+	checkBadOption(t, "/batch", code, body, "coarse_points_per_decade")
+	if d := misses.Value() - before; d != 0 {
+		t.Errorf("refused requests cost %d cache misses", d)
+	}
+}
+
+// checkBadOption asserts a response is one 400 bad_option error body
+// naming field.
+func checkBadOption(t *testing.T, route string, code int, body, field string) {
+	t.Helper()
+	var eb ErrorBody
+	if err := json.Unmarshal([]byte(body), &eb); err != nil || code != http.StatusBadRequest ||
+		eb.Error.Code != CodeBadOption || eb.Error.Field != field {
+		t.Errorf("%s: status %d body %q, want 400 bad_option on %s", route, code, body, field)
 	}
 }

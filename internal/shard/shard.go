@@ -64,22 +64,13 @@ type Config struct {
 	// 0 selects one shard per worker; the count is always capped at the
 	// planned node count (no empty shards).
 	Shards int
-	// MaxAttempts caps launches (primary + hedge + re-dispatches) per
-	// shard. 0 selects max(3, len(Workers)+1) so every worker gets a
-	// chance before the shard is declared failed.
-	MaxAttempts int
 	// Timeout is the per-attempt job deadline, forwarded as the wire
 	// timeout_ms and used as the HTTP client timeout (0 = the farm
 	// client's 5m default). A hung worker surfaces as a timed-out
 	// attempt, which re-dispatches like any transport failure.
 	Timeout time.Duration
-	// HedgeQuantile picks the hedge cutoff from completed attempt
-	// durations: a shard still running past this quantile gets a
-	// duplicate launch on another worker. 0 selects 0.9; negative
-	// disables hedging. Ignored when HedgeAfter is set.
-	HedgeQuantile float64
 	// HedgeAfter, when positive, is a fixed hedge cutoff replacing the
-	// quantile estimate (useful early in a run and in tests).
+	// hedgeQuantile estimate (useful early in a run and in tests).
 	HedgeAfter time.Duration
 	// RetryBase seeds the re-dispatch backoff (0 = 100ms); the delay
 	// doubles per launch, capped at 2s, and a larger worker Retry-After
@@ -90,10 +81,19 @@ type Config struct {
 	Log *obs.EventLogger
 }
 
+// hedgeQuantile picks the hedge cutoff from completed attempt
+// durations: a shard still running past this quantile of them gets a
+// duplicate launch on another worker.
+const hedgeQuantile = 0.9
+
 // Coordinator fans an all-nodes run out over a worker fleet.
 type Coordinator struct {
 	cfg     Config
 	clients []*farm.Client
+	// maxAttempts caps launches (primary + hedge + re-dispatches) per
+	// shard at max(3, len(Workers)+1), so every worker gets a chance
+	// before the shard is declared failed.
+	maxAttempts int
 
 	mu   sync.Mutex
 	durs []time.Duration // completed winning-attempt durations
@@ -106,19 +106,10 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("shard: no workers configured")
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = len(cfg.Workers) + 1
-		if cfg.MaxAttempts < 3 {
-			cfg.MaxAttempts = 3
-		}
-	}
-	if cfg.HedgeQuantile == 0 {
-		cfg.HedgeQuantile = 0.9
-	}
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = 100 * time.Millisecond
 	}
-	c := &Coordinator{cfg: cfg}
+	c := &Coordinator{cfg: cfg, maxAttempts: max(3, len(cfg.Workers)+1)}
 	for _, w := range cfg.Workers {
 		c.clients = append(c.clients, &farm.Client{
 			BaseURL:    strings.TrimRight(w, "/"),
@@ -305,7 +296,7 @@ func (c *Coordinator) runShard(ctx context.Context, run *obs.Run, src, traceID s
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	results := make(chan attemptOutcome, c.cfg.MaxAttempts)
+	results := make(chan attemptOutcome, c.maxAttempts)
 	launches, inflight := 0, 0
 	hedged := false
 	var curStart time.Time
@@ -347,8 +338,7 @@ func (c *Coordinator) runShard(ctx context.Context, run *obs.Run, src, traceID s
 		// other shards' completions feed the quantile as the run
 		// progresses.
 		var hedgeC <-chan time.Time
-		if !hedged && inflight == 1 && launches < c.cfg.MaxAttempts &&
-			len(c.clients) > 1 && c.cfg.HedgeQuantile >= 0 {
+		if !hedged && inflight == 1 && launches < c.maxAttempts && len(c.clients) > 1 {
 			wait := 50 * time.Millisecond
 			if cutoff := c.hedgeCutoff(); cutoff > 0 {
 				wait = time.Until(curStart.Add(cutoff))
@@ -390,7 +380,7 @@ func (c *Coordinator) runShard(ctx context.Context, run *obs.Run, src, traceID s
 			if inflight > 0 {
 				continue // the racing attempt may still win
 			}
-			if launches >= c.cfg.MaxAttempts {
+			if launches >= c.maxAttempts {
 				return nil, fmt.Errorf("shard %d: %d attempts exhausted, last (worker %s): %w",
 					idx, launches, out.worker, out.err)
 			}
@@ -444,7 +434,7 @@ func retryableAttempt(err error) bool {
 }
 
 // hedgeCutoff returns the straggler cutoff: the fixed HedgeAfter when
-// set, else the HedgeQuantile of completed winning-attempt durations
+// set, else the hedgeQuantile of completed winning-attempt durations
 // (0 until at least two have completed — one duration is no
 // distribution).
 func (c *Coordinator) hedgeCutoff() time.Duration {
@@ -458,7 +448,7 @@ func (c *Coordinator) hedgeCutoff() time.Duration {
 	}
 	ds := append([]time.Duration(nil), c.durs...)
 	sort.Slice(ds, func(a, b int) bool { return ds[a] < ds[b] })
-	i := int(c.cfg.HedgeQuantile * float64(len(ds)))
+	i := int(hedgeQuantile * float64(len(ds)))
 	if i >= len(ds) {
 		i = len(ds) - 1
 	}

@@ -34,12 +34,13 @@ import (
 )
 
 const (
-	// defRefineThreshold is the default |P| refinement trigger: the
-	// single-real-pole dip bottoms out at 0.5, so anything deeper hints at
-	// a complex pair worth resolving.
-	defRefineThreshold = 0.5
-	// maxRefinePPD rejects effectively unbounded refinement caps; the
-	// paper's workflows run 20-100 points per decade.
+	// refineThreshold is the |P| refinement trigger: the single-real-pole
+	// dip bottoms out at 0.5, so anything deeper hints at a complex pair
+	// worth resolving.
+	refineThreshold = 0.5
+	// maxRefinePPD rejects effectively unbounded refinement caps (an
+	// adaptive run refines up to PointsPerDecade); the paper's workflows
+	// run 20-100 points per decade.
 	maxRefinePPD = 10000
 	// maxRefineRoundsCap bounds the bisection rounds regardless of the
 	// coarse/fine ratio (each round halves interval widths, so 20 rounds
@@ -52,16 +53,17 @@ func (t *Tool) adaptive() bool { return t.Opts.CoarsePointsPerDecade > 0 }
 
 // refineOptions maps the run options onto the stab refinement knobs: the
 // threshold tier targets twice the coarse density (enough to bracket
-// every extremum) and the peak tier the full refinement cap.
+// every extremum) and the peak tier the full refinement cap,
+// PointsPerDecade.
 func (t *Tool) refineOptions() stab.RefineOptions {
 	wide := 2 * t.Opts.CoarsePointsPerDecade
-	if wide > t.Opts.RefinePointsPerDecade {
-		wide = t.Opts.RefinePointsPerDecade
+	if wide > t.Opts.PointsPerDecade {
+		wide = t.Opts.PointsPerDecade
 	}
 	return stab.RefineOptions{
-		Threshold: t.Opts.RefineThreshold,
+		Threshold: refineThreshold,
 		WideDU:    math.Ln10 / float64(wide),
-		PeakDU:    math.Ln10 / float64(t.Opts.RefinePointsPerDecade),
+		PeakDU:    math.Ln10 / float64(t.Opts.PointsPerDecade),
 	}
 }
 
@@ -70,7 +72,7 @@ func (t *Tool) refineOptions() stab.RefineOptions {
 // discovering new hot intervals as peaks sharpen.
 func (t *Tool) maxRefineRounds() int {
 	r := 2
-	for ppd := t.Opts.CoarsePointsPerDecade; ppd < t.Opts.RefinePointsPerDecade; ppd *= 2 {
+	for ppd := t.Opts.CoarsePointsPerDecade; ppd < t.Opts.PointsPerDecade; ppd *= 2 {
 		r++
 	}
 	if r > maxRefineRoundsCap {

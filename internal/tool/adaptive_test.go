@@ -2,8 +2,10 @@ package tool
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -176,55 +178,66 @@ func TestAdaptiveSingleNode(t *testing.T) {
 	}
 }
 
-// TestAdaptiveOptionValidation pins the satellite flag-validation
-// contract: negative grid knobs, refine caps below the coarse resolution
-// or above the unbounded-refinement guard, and dense or coarse grids
-// above maxSweepPoints are all rejected at Tool construction.
+// TestAdaptiveOptionValidation pins the option-validation contract: a
+// negative coarse density, a coarse density above PointsPerDecade, an
+// adaptive PointsPerDecade above the unbounded-refinement guard, and dense
+// or coarse grids above maxSweepPoints are all rejected at Tool
+// construction with an *OptionError naming the option at fault.
 func TestAdaptiveOptionValidation(t *testing.T) {
 	base := DefaultOptions()
 	cases := []struct {
-		name string
-		mut  func(*Options)
+		name   string
+		mut    func(*Options)
+		option string
 	}{
-		{"negative coarse", func(o *Options) { o.CoarsePointsPerDecade = -1 }},
-		{"negative refine", func(o *Options) { o.RefinePointsPerDecade = -4 }},
-		{"negative threshold", func(o *Options) { o.RefineThreshold = -0.5 }},
-		{"refine below coarse", func(o *Options) {
+		{"negative coarse", func(o *Options) { o.CoarsePointsPerDecade = -1 }, "CoarsePointsPerDecade"},
+		{"coarse above ppd", func(o *Options) {
 			o.CoarsePointsPerDecade = 8
-			o.RefinePointsPerDecade = 4
-		}},
-		{"unbounded refine", func(o *Options) {
+			o.PointsPerDecade = 4
+		}, "CoarsePointsPerDecade"},
+		{"unbounded adaptive ppd", func(o *Options) {
+			o.FStart, o.FStop = 1e3, 1e6
 			o.CoarsePointsPerDecade = 8
-			o.RefinePointsPerDecade = 20000
-		}},
-		{"oversize dense grid", func(o *Options) { o.PointsPerDecade = 1e9 }},
-		{"unbounded span", func(o *Options) { o.FStart, o.FStop = 1e-300, 1e300 }},
+			o.PointsPerDecade = 20000
+		}, "PointsPerDecade"},
+		{"oversize dense grid", func(o *Options) { o.PointsPerDecade = 1e9 }, "PointsPerDecade"},
+		{"unbounded span", func(o *Options) { o.FStart, o.FStop = 1e-300, 1e300 }, "PointsPerDecade"},
 		{"oversize coarse grid", func(o *Options) {
 			o.FStart, o.FStop = 1, 1e30
 			o.CoarsePointsPerDecade = 5000
-			o.RefinePointsPerDecade = 5000
-		}},
+			o.PointsPerDecade = 5000
+		}, "CoarsePointsPerDecade"},
+		{"inverted range", func(o *Options) { o.FStart, o.FStop = 1e6, 10 }, "FStop"},
+		{"zero start", func(o *Options) { o.FStart = 0 }, "FStart"},
 	}
 	ckt, _, _ := randomTankLadder(rand.New(rand.NewSource(1)), 1)
 	for _, tc := range cases {
 		opts := base
 		tc.mut(&opts)
-		if _, err := New(ckt, opts); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		_, err := New(ckt, opts)
+		var oe *OptionError
+		if !errors.As(err, &oe) {
+			t.Errorf("%s: err = %v, want *OptionError", tc.name, err)
+			continue
+		}
+		if oe.Option != tc.option {
+			t.Errorf("%s: option %q, want %q", tc.name, oe.Option, tc.option)
 		}
 	}
-	// The happy path fills the documented defaults.
+	// The happy path refines up to PointsPerDecade at the fixed |P|
+	// threshold, and resolved options resolve to themselves.
 	opts := base
 	opts.CoarsePointsPerDecade = 8
 	tl, err := New(ckt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tl.Opts.RefinePointsPerDecade != tl.Opts.PointsPerDecade {
-		t.Errorf("refine cap defaulted to %d, want PointsPerDecade %d",
-			tl.Opts.RefinePointsPerDecade, tl.Opts.PointsPerDecade)
+	ro := tl.refineOptions()
+	if ro.PeakDU != math.Ln10/float64(tl.Opts.PointsPerDecade) || ro.Threshold != refineThreshold {
+		t.Errorf("refinement %+v, want the PointsPerDecade cap at threshold %g", ro, refineThreshold)
 	}
-	if tl.Opts.RefineThreshold != defRefineThreshold {
-		t.Errorf("threshold defaulted to %g, want %g", tl.Opts.RefineThreshold, defRefineThreshold)
+	again, err := ResolveOptions(tl.Opts)
+	if err != nil || !reflect.DeepEqual(again, tl.Opts) {
+		t.Errorf("resolved options are not a fixed point: %v\n %+v\n %+v", err, tl.Opts, again)
 	}
 }

@@ -122,7 +122,7 @@ func (c *Compiled) ensureOP(ctx context.Context, sim *analysis.Sim, trace *obs.R
 // different solver options computes its own operating point instead of
 // reusing the shared one.
 func NewFromCompiled(c *Compiled, opts Options) (*Tool, error) {
-	opts, err := withRunDefaults(opts)
+	opts, err := ResolveOptions(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -138,11 +138,36 @@ func NewFromCompiled(c *Compiled, opts Options) (*Tool, error) {
 	return t, nil
 }
 
-// withRunDefaults validates the per-run options and fills the documented
-// defaults, the shared gate of New and NewFromCompiled.
-func withRunDefaults(opts Options) (Options, error) {
-	if opts.FStart <= 0 || opts.FStop <= opts.FStart {
-		return opts, fmt.Errorf("tool: bad frequency range [%g, %g]", opts.FStart, opts.FStop)
+// OptionError rejects a run option. Option is the name of the Options
+// field at fault, so each front end can point at its own spelling of it
+// (a CLI flag, a wire field).
+type OptionError struct {
+	// Option is the Options field name, e.g. "PointsPerDecade".
+	Option string
+	// Reason says what is wrong with the value.
+	Reason string
+}
+
+// Error implements the error interface.
+func (e *OptionError) Error() string { return "tool: " + e.Reason }
+
+// maxSweepPoints caps the length of the dense and the coarse frequency
+// grid of a run. The paper's workflows sweep a few hundred points; the
+// cap only stops a points-per-decade or span so large that building the
+// grid would exhaust memory, a failure no recover can catch.
+const maxSweepPoints = 100000
+
+// ResolveOptions validates the per-run options and fills the documented
+// defaults. It is the one home of the run-option rules: New and
+// NewFromCompiled call it, and the farm's wire decoder calls it so that a
+// request a run would refuse is refused at decode. A rejection is an
+// *OptionError. Resolved options resolve to themselves.
+func ResolveOptions(opts Options) (Options, error) {
+	if opts.FStart <= 0 {
+		return opts, &OptionError{"FStart", fmt.Sprintf("sweep start %g Hz must be > 0", opts.FStart)}
+	}
+	if opts.FStop <= opts.FStart {
+		return opts, &OptionError{"FStop", fmt.Sprintf("sweep stop %g Hz not above start %g Hz", opts.FStop, opts.FStart)}
 	}
 	if opts.PointsPerDecade <= 0 {
 		opts.PointsPerDecade = 40
@@ -151,72 +176,30 @@ func withRunDefaults(opts Options) (Options, error) {
 		opts.LoopTol = 0.12
 	}
 	if opts.CoarsePointsPerDecade < 0 {
-		return opts, fmt.Errorf("tool: coarse points per decade must be >= 0 (0 = adaptive off), got %d", opts.CoarsePointsPerDecade)
+		return opts, &OptionError{"CoarsePointsPerDecade",
+			fmt.Sprintf("coarse points per decade must be >= 0 (0 = adaptive off), got %d", opts.CoarsePointsPerDecade)}
 	}
-	if opts.RefinePointsPerDecade < 0 {
-		return opts, fmt.Errorf("tool: refine points per decade must be >= 0 (0 = points per decade), got %d", opts.RefinePointsPerDecade)
-	}
-	if opts.RefineThreshold < 0 {
-		return opts, fmt.Errorf("tool: refine threshold must be >= 0 (0 = default %g), got %g", defRefineThreshold, opts.RefineThreshold)
-	}
-	if ge := CheckGrids(opts); ge != nil {
-		return opts, fmt.Errorf("tool: %w", ge)
-	}
-	if opts.CoarsePointsPerDecade > 0 {
-		if opts.RefinePointsPerDecade == 0 {
-			opts.RefinePointsPerDecade = opts.PointsPerDecade
-		}
-		if opts.RefinePointsPerDecade < opts.CoarsePointsPerDecade {
-			return opts, fmt.Errorf("tool: refine points per decade (%d) below the coarse resolution (%d)",
-				opts.RefinePointsPerDecade, opts.CoarsePointsPerDecade)
-		}
-		if opts.RefinePointsPerDecade > maxRefinePPD {
-			return opts, fmt.Errorf("tool: refine points per decade %d exceeds the cap %d (unbounded refinement is rejected)",
-				opts.RefinePointsPerDecade, maxRefinePPD)
-		}
-		if opts.RefineThreshold == 0 {
-			opts.RefineThreshold = defRefineThreshold
-		}
-	}
-	return opts, nil
-}
-
-// maxSweepPoints caps the length of the dense and the coarse frequency
-// grid of a run. The paper's workflows sweep a few hundred points; the
-// cap only stops a points-per-decade or span so large that building the
-// grid would exhaust memory, a failure no recover can catch.
-const maxSweepPoints = 100000
-
-// GridError rejects a run whose dense or coarse frequency grid would hold
-// more than maxSweepPoints points.
-type GridError struct {
-	// Coarse marks the adaptive coarse grid; false is the dense grid.
-	Coarse bool
-	// Points is the grid length the options ask for.
-	Points float64
-}
-
-// Error implements the error interface.
-func (e *GridError) Error() string {
-	grid := "dense"
-	if e.Coarse {
-		grid = "coarse"
-	}
-	return fmt.Sprintf("%s sweep grid of %g points exceeds the %d-point cap", grid, e.Points, maxSweepPoints)
-}
-
-// CheckGrids returns a GridError when the dense grid (FStart..FStop at
-// PointsPerDecade) or, on adaptive runs, the coarse grid would exceed
-// maxSweepPoints. It reads the options as given: a zero PointsPerDecade
-// counts as 1 point per decade, as num.LogGridPPD does.
-func CheckGrids(opts Options) *GridError {
-	if n := num.LogGridLen(opts.FStart, opts.FStop, opts.PointsPerDecade); !(n <= maxSweepPoints) {
-		return &GridError{Points: n}
-	}
+	// An adaptive run builds the coarse grid first, so its cap is the one
+	// named when both grids are oversize.
 	if opts.CoarsePointsPerDecade > 0 {
 		if n := num.LogGridLen(opts.FStart, opts.FStop, opts.CoarsePointsPerDecade); !(n <= maxSweepPoints) {
-			return &GridError{Coarse: true, Points: n}
+			return opts, &OptionError{"CoarsePointsPerDecade",
+				fmt.Sprintf("coarse sweep grid of %g points exceeds the %d-point cap", n, maxSweepPoints)}
 		}
 	}
-	return nil
+	if n := num.LogGridLen(opts.FStart, opts.FStop, opts.PointsPerDecade); !(n <= maxSweepPoints) {
+		return opts, &OptionError{"PointsPerDecade",
+			fmt.Sprintf("dense sweep grid of %g points exceeds the %d-point cap", n, maxSweepPoints)}
+	}
+	if opts.CoarsePointsPerDecade > opts.PointsPerDecade {
+		return opts, &OptionError{"CoarsePointsPerDecade",
+			fmt.Sprintf("coarse points per decade (%d) above points per decade (%d)",
+				opts.CoarsePointsPerDecade, opts.PointsPerDecade)}
+	}
+	if opts.CoarsePointsPerDecade > 0 && opts.PointsPerDecade > maxRefinePPD {
+		return opts, &OptionError{"PointsPerDecade",
+			fmt.Sprintf("adaptive points per decade %d exceeds the refinement cap %d (unbounded refinement is rejected)",
+				opts.PointsPerDecade, maxRefinePPD)}
+	}
+	return opts, nil
 }

@@ -44,21 +44,15 @@ type Options struct {
 	PointsPerDecade int
 	// CoarsePointsPerDecade enables the two-level adaptive sweep: a coarse
 	// uniform pass at this resolution, then recursive bisection of the
-	// intervals whose stability-plot signal exceeds RefineThreshold, down
-	// to RefinePointsPerDecade near detected peaks. 0 disables adaptivity
+	// intervals whose stability-plot signal exceeds |P| = 0.5, down to
+	// PointsPerDecade near detected peaks. 0 disables adaptivity
 	// (every node is swept on the dense PointsPerDecade grid). Refinement
 	// decisions are a pure function of each node's own samples, so sharded
 	// all-nodes runs merge byte-identically regardless of partitioning.
+	// It must not exceed PointsPerDecade, and an adaptive run's
+	// PointsPerDecade must not exceed maxRefinePPD.
 	CoarsePointsPerDecade int
-	// RefinePointsPerDecade caps the adaptive refinement resolution. 0
-	// selects PointsPerDecade; values below CoarsePointsPerDecade or above
-	// maxRefinePPD are rejected.
-	RefinePointsPerDecade int
-	// RefineThreshold is the |P| level above which an interval counts as
-	// resonant and is refined. 0 selects the default (0.5, the single-
-	// real-pole bound); negative is rejected.
-	RefineThreshold float64
-	Stab            stab.Options
+	Stab                  stab.Options
 	// LoopTol is the relative frequency tolerance for loop clustering.
 	LoopTol float64
 	// Workers sets the parallel worker count for the all-nodes sweep
@@ -149,7 +143,7 @@ type Tool struct {
 // original circuit is not modified: auto-zeroing operates on the
 // flattened copy.
 func New(ckt *netlist.Circuit, opts Options) (*Tool, error) {
-	opts, err := withRunDefaults(opts)
+	opts, err := ResolveOptions(opts)
 	if err != nil {
 		return nil, err
 	}
